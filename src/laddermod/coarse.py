@@ -90,7 +90,8 @@ def _build_part(m, basis, sel_gens):
     part = PersistenceModule(field, dims, tuple(maps))
     for t in range(1, l + 1):
         ok, _ = is_barcode_form(part.map_at(t))
-        assert ok
+        if not ok:
+            raise RuntimeError("part map %d out of barcode form" % t)
     raw = [
         {
             "bar": g.bar,
@@ -120,8 +121,10 @@ def _build_part(m, basis, sel_gens):
             for t in range(l + 1)
         ),
     )
-    assert validate_ladder(pr) is None
-    assert validate_ladder(inc) is None
+    for lm in (pr, inc):
+        issue = validate_ladder(lm)
+        if issue is not None:
+            raise RuntimeError(issue)
     return part, part_basis, pr, inc
 
 
@@ -161,7 +164,8 @@ def coarse_interleaving(split):
     phi = compose_ladder(inner_ladder(long, h), split.pr_long)
     phi_tilde = compose_ladder(shift_morphism(split.inc_long, h), inner_ladder(long, h))
     cert = check_interleaving(phi, phi_tilde, h)
-    assert isinstance(cert, InterleavingCertificate), str(cert)
+    if not isinstance(cert, InterleavingCertificate):
+        raise RuntimeError(str(cert))
     return CoarseInterleaving(split, phi, phi_tilde, cert)
 
 
@@ -232,7 +236,8 @@ def induce_coarse_morphism(phi, psi, delta, q, variant="both", dom_split=None, c
             ),
         )
     cert = check_delta_invertible(phi2, psi2, delta + q // 2)
-    assert isinstance(cert, InterleavingCertificate), str(cert)
+    if not isinstance(cert, InterleavingCertificate):
+        raise RuntimeError(str(cert))
     return CoarseMorphism(variant, q, delta, phi2, psi2, cert, dom_split, cod_split)
 
 

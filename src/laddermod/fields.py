@@ -69,7 +69,8 @@ class Fp:
         if isinstance(other, Fp):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            # only the canonical residue, so that equal values hash equally
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
@@ -82,14 +83,34 @@ class Fp:
         return "Fp(%d,%d)" % (self.v, self.p)
 
 
+# Deterministic Miller-Rabin: the first 13 primes as bases decide primality
+# exactly for every n below _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    if n >= _MR_LIMIT:
+        raise ValueError("field order %d is too large, it must be below %d" % (n, _MR_LIMIT))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -253,23 +274,36 @@ class Matrix:
         return all(x == z for x in self.data)
 
     def rank(self):
-        work = self.to_lists()
-        zero = self.field.zero()
-        r = 0
-        for j in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if work[i][j] != zero), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = work[r][j]
-            for i in range(r + 1, self.rows):
-                if work[i][j] != zero:
-                    f = work[i][j] / inv
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            r += 1
-            if r == self.rows:
-                break
-        return r
+        return len(echelon(self.to_lists(), self.cols, self.field))
+
+
+def echelon(rows, ncols, field):
+    """Gauss-Jordan elimination in place on a list of row lists.
+
+    Pivots are taken only in the first ncols columns, so any further columns
+    ride along as an augmented block. Each pivot is the first nonzero entry at
+    or below the current row; pivot rows are scaled to 1 and their column is
+    cleared above and below. Returns the pivot columns in order.
+    """
+    zero, one = field.zero(), field.one()
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][j] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = rows[r][j]
+        if f != one:
+            rows[r] = [x / f for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j] != zero:
+                g = rows[i][j]
+                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return pivots
 
 
 def mat_mul(a, b):
@@ -296,25 +330,11 @@ def mat_inverse(a):
     if a.rows != a.cols:
         raise ValueError("not square")
     n = a.rows
-    zero, one = a.field.zero(), a.field.one()
-    work = a.to_lists()
-    inv = Matrix.identity(a.field, n).to_lists()
-    for j in range(n):
-        piv = next((i for i in range(j, n) if work[i][j] != zero), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[j], work[piv] = work[piv], work[j]
-        inv[j], inv[piv] = inv[piv], inv[j]
-        f = work[j][j]
-        if f != one:
-            work[j] = [x / f for x in work[j]]
-            inv[j] = [x / f for x in inv[j]]
-        for i in range(n):
-            if i != j and work[i][j] != zero:
-                f = work[i][j]
-                work[i] = [x - f * y for x, y in zip(work[i], work[j])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[j])]
-    return Matrix.from_rows(a.field, inv, cols=n)
+    unit = Matrix.identity(a.field, n).to_lists()
+    work = [row + e for row, e in zip(a.to_lists(), unit)]
+    if len(echelon(work, n, a.field)) < n:
+        raise ValueError("singular matrix")
+    return Matrix.from_rows(a.field, [row[n:] for row in work], cols=n)
 
 
 def mat_solve(a, b):
@@ -329,26 +349,11 @@ def mat_solve(a, b):
     zero = a.field.zero()
     work = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
     n = a.cols
-    pivot_rows = []
-    r = 0
-    for j in range(n):
-        piv = next((i for i in range(r, a.rows) if work[i][j] != zero), None)
-        if piv is None:
-            raise ValueError("matrix does not have full column rank")
-        work[r], work[piv] = work[piv], work[r]
-        f = work[r][j]
-        work[r] = [x / f for x in work[r]]
-        for i in range(a.rows):
-            if i != r and work[i][j] != zero:
-                g = work[i][j]
-                work[i] = [x - g * y for x, y in zip(work[i], work[r])]
-        pivot_rows.append(r)
-        r += 1
-    for i in range(r, a.rows):
-        if any(x != zero for x in work[i][n:]):
-            raise ValueError("inconsistent system")
-    sol = [work[i][n:] for i in pivot_rows]
-    return Matrix.from_rows(a.field, sol, cols=b.cols)
+    if len(echelon(work, n, a.field)) < n:
+        raise ValueError("matrix does not have full column rank")
+    if any(x != zero for row in work[n:] for x in row[n:]):
+        raise ValueError("inconsistent system")
+    return Matrix.from_rows(a.field, [row[n:] for row in work[:n]], cols=b.cols)
 
 
 def is_barcode_form(a):

@@ -18,10 +18,10 @@ per zero row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import Matrix
-from .morphism import MorphismMatrix, from_single_matrix, to_single_matrix
+from .morphism import MorphismMatrix, _masked, from_single_matrix, to_single_matrix
 from .persistence import (
     BarcodeBasis,
     BasisChange,
@@ -53,16 +53,6 @@ class AdmissibleOp:
         return "%s: row %s += %s * row %s" % (
             self.kind, mm.row_gens[self.target].bar,
             mm.field.fmt(self.scalar), mm.row_gens[self.source].bar)
-
-
-def _masked(mm_rows, mm_cols, field, data):
-    zero = field.zero()
-    n = len(mm_cols)
-    for r, rg in enumerate(mm_rows):
-        for c, cg in enumerate(mm_cols):
-            if data[r * n + c] != zero and not interval_overlap(rg.bar, cg.bar):
-                data[r * n + c] = zero
-    return data
 
 
 def apply_op(mm, op):
@@ -205,6 +195,17 @@ def _blocking_failure(cur, ops, r, c, row_pivot, col_pivot):
     )
 
 
+def _blocks(gens):
+    """Runs of equal bars in a sorted generator list: [(bar, [indices])]."""
+    out = []
+    for i, g in enumerate(gens):
+        if out and out[-1][0] == g.bar:
+            out[-1][1].append(i)
+        else:
+            out.append((g.bar, [i]))
+    return out
+
+
 def reduce_to_matching_form(mm, pivot_rule="first"):
     """Run the block schedule: column-bar blocks left to right, row-bar blocks
     bottom-up inside each. Returns (matching form, ops) or a ReductionFailure.
@@ -225,17 +226,8 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
         cur = apply_op(cur, op)
         ops.append(op)
 
-    def blocks(gens):
-        out = []
-        for i, g in enumerate(gens):
-            if out and out[-1][0] == g.bar:
-                out[-1][1].append(i)
-            else:
-                out.append((g.bar, [i]))
-        return out
-
-    col_blocks = blocks(mm.col_gens)
-    row_blocks = blocks(mm.row_gens)
+    col_blocks = _blocks(mm.col_gens)
+    row_blocks = _blocks(mm.row_gens)
     row_pivot = [None] * len(mm.row_gens)
     col_pivot = [None] * len(mm.col_gens)
 
@@ -291,7 +283,8 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
                 row_pivot[r] = c
                 col_pivot[c] = r
 
-    assert is_matching_form(cur), "schedule finished but matrix is not in matching form"
+    if not is_matching_form(cur):
+        raise RuntimeError("schedule finished but matrix is not in matching form")
     return cur, tuple(ops)
 
 
@@ -317,17 +310,8 @@ def search_matching_form(mm, max_states=200000):
     zero, one = field.zero(), field.one()
     nrows, ncols = len(mm.row_gens), len(mm.col_gens)
 
-    def blocks(gens):
-        out = []
-        for i, g in enumerate(gens):
-            if out and out[-1][0] == g.bar:
-                out[-1][1].append(i)
-            else:
-                out.append((g.bar, [i]))
-        return out
-
-    col_blocks = blocks(mm.col_gens)
-    row_blocks = blocks(mm.row_gens)
+    col_blocks = _blocks(mm.col_gens)
+    row_blocks = _blocks(mm.row_gens)
     order = {}
     k = 0
     for cbar, _ in col_blocks:
@@ -445,7 +429,8 @@ def search_matching_form(mm, max_states=200000):
                 for rr in range(nrows):
                     nd[rr * ncols + c] = nd[rr * ncols + c] / v
     out = MorphismMatrix(mm.row_gens, mm.col_gens, Matrix(field, nrows, ncols, nd))
-    assert is_matching_form(out)
+    if not is_matching_form(out):
+        raise RuntimeError("search result is not in matching form")
     return SearchResult(out, states, True)
 
 

@@ -6,8 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import Matrix, mat_mul, mat_solve
-from .persistence import Barcode, interval_lex_key, reduce_to_barcode_basis
+from .fields import Matrix, echelon, mat_mul, mat_solve
+from .persistence import (
+    Barcode,
+    PersistenceModule,
+    interval_lex_key,
+    reduce_to_barcode_basis,
+)
 
 
 def _collapse(items):
@@ -173,32 +178,15 @@ def check_matching_correspondence(chi_phi, chi_psi, delta):
 
 
 def _image_module(phi):
-    """Pointwise column-space of a morphism, as a submodule of the codomain:
-    returns (module, inclusion matrices C_t, coordinate matrices of phi)."""
+    """Pointwise column-space of a morphism, as a submodule of the codomain
+    spanned by the pivot columns of each component."""
     field = phi.dom.field
-    zero = field.zero()
     l = phi.grid_len
     C = []
-    for t in range(l + 1):
-        comp = phi.comps[t]
-        work = comp.to_lists()
-        pivots = []
-        r = 0
-        for j in range(comp.cols):
-            piv = next((i for i in range(r, comp.rows) if work[i][j] != zero), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            f = work[r][j]
-            for i in range(r + 1, comp.rows):
-                if work[i][j] != zero:
-                    g = work[i][j] / f
-                    work[i] = [x - g * y for x, y in zip(work[i], work[r])]
-            pivots.append(j)
-            r += 1
-        cols = [comp.col(j) for j in pivots]
-        C.append(Matrix.from_rows(field, [list(row) for row in zip(*cols)] if cols else [],
-                                  cols=len(pivots)) if cols else Matrix.zero(field, comp.rows, 0))
+    for comp in phi.comps:
+        pivots = echelon(comp.to_lists(), comp.cols, field)
+        span = [[comp.get(i, j) for j in pivots] for i in range(comp.rows)]
+        C.append(Matrix.from_rows(field, span, cols=len(pivots)))
     dims = tuple(c.cols for c in C)
     maps = []
     for t in range(1, l + 1):
@@ -209,9 +197,7 @@ def _image_module(phi):
             maps.append(Matrix.zero(field, 0, dims[t - 1]))
         else:
             maps.append(mat_solve(C[t], rhs))
-    from .persistence import PersistenceModule
-
-    return PersistenceModule(field, dims, tuple(maps)), C
+    return PersistenceModule(field, dims, tuple(maps))
 
 
 def bl_matching(phi, dom_basis=None, cod_basis=None):
@@ -225,7 +211,7 @@ def bl_matching(phi, dom_basis=None, cod_basis=None):
         dom_basis = reduce_to_barcode_basis(phi.dom)
     if cod_basis is None:
         cod_basis = reduce_to_barcode_basis(phi.cod)
-    im_mod, _ = _image_module(phi)
+    im_mod = _image_module(phi)
     im_basis = reduce_to_barcode_basis(im_mod)
 
     def family_key(g):

@@ -150,13 +150,6 @@ class MorphismMatrix:
     def entry(self, r, c):
         return self.entries.get(r, c)
 
-    def support(self, c):
-        """Codomain generators hit by domain generator number c."""
-        zero = self.field.zero()
-        return tuple(
-            rg for r, rg in enumerate(self.row_gens) if self.entries.get(r, c) != zero
-        )
-
     def __str__(self):
         lines = []
         for r, rg in enumerate(self.row_gens):
@@ -239,8 +232,21 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
         comps.append(mat_mul(mat_mul(h_inv[t], P), dom_basis.change.mats[t]))
     lm = LadderModule(dom, cod, tuple(comps))
     issue = validate_ladder(lm)
-    assert issue is None, issue
+    if issue is not None:
+        raise ValueError(issue)
     return lm
+
+
+def _masked(mm_rows, mm_cols, field, data):
+    """Zero, in place, the entries of row-major data whose row bar does not
+    overlap-precede their column bar; returns data."""
+    zero = field.zero()
+    n = len(mm_cols)
+    for r, rg in enumerate(mm_rows):
+        for c, cg in enumerate(mm_cols):
+            if data[r * n + c] != zero and not interval_overlap(rg.bar, cg.bar):
+                data[r * n + c] = zero
+    return data
 
 
 def compose_single(outer, inner):
@@ -252,13 +258,7 @@ def compose_single(outer, inner):
     if not ok:
         raise ValueError("inner codomain generators do not match outer domain")
     prod = mat_mul(outer.entries, inner.entries)
-    zero = prod.field.zero()
-    data = list(prod.data)
-    n = prod.cols
-    for r, rg in enumerate(outer.row_gens):
-        for c, cg in enumerate(inner.col_gens):
-            if data[r * n + c] != zero and not interval_overlap(rg.bar, cg.bar):
-                data[r * n + c] = zero
+    data = _masked(outer.row_gens, inner.col_gens, prod.field, list(prod.data))
     entries = Matrix(prod.field, prod.rows, prod.cols, data)
     return MorphismMatrix(outer.row_gens, inner.col_gens, entries)
 

@@ -9,7 +9,7 @@ basis at every index, and tracking where each interval summand lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import Matrix, is_barcode_form, mat_inverse, mat_mul
 
@@ -31,9 +31,6 @@ class Interval:
 
     def contains_index(self, t):
         return self.a <= t <= self.b
-
-    def intersects(self, other):
-        return self.a <= other.b and other.a <= self.b
 
     def __str__(self):
         return "[%d,%d]" % (self.a, self.b)
@@ -363,7 +360,8 @@ def reduce_to_barcode_basis(m):
                 dying = chain_at[i - 1][j]
                 donor = chain_at[i - 1][jc]
                 birth = chains[dying]["birth"]
-                assert chains[donor]["birth"] <= birth
+                if chains[donor]["birth"] > birth:
+                    raise RuntimeError("donor chain is born after the dying chain")
                 for t in range(birth, i):
                     pc = chains[donor]["pos"][t - chains[donor]["birth"]]
                     pj = chains[dying]["pos"][t - birth]
@@ -401,7 +399,8 @@ def reduce_to_barcode_basis(m):
     )
     for t in range(1, l + 1):
         ok, _ = is_barcode_form(reduced.map_at(t))
-        assert ok, "sweep left map %d out of barcode form" % t
+        if not ok:
+            raise RuntimeError("sweep left map %d out of barcode form" % t)
     return BarcodeBasis(change, Barcode([g_.bar for g_ in gens]), gens, reduced)
 
 

@@ -224,6 +224,22 @@ def test_missing_file_exits_1(tmp_path):
     assert code == 1
 
 
+def test_field_order_too_large_exits_1(data_dir, tmp_path, capsys):
+    with open(data(data_dir, "run.txt")) as f:
+        text = f.read()
+    huge = tmp_path / "huge.txt"
+    huge.write_text(text.replace("field rational", "field prime 3317044064679887385961981", 1))
+    assert main(["decompose", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "too large" in err
+    # a 61-bit prime order is accepted without trial division
+    big = tmp_path / "big.txt"
+    big.write_text(text.replace("field rational", "field prime %d" % (2**61 - 1)))
+    code, out = run_cli("decompose", str(big))
+    assert code == 0
+    assert "summands: R [0,4]->[0,4], R [1,7]->[0,5], I+ [4,4]" in out
+
+
 def test_bad_arguments_exit_1():
     # argparse failures leave through SystemExit, remapped to status 1
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Exact field and matrix arithmetic."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,9 @@ from laddermod import (
     mat_mul,
     mat_solve,
 )
+from laddermod.fields import echelon
+
+from gen import FIELDS, random_invertible, random_matrix
 
 F5 = field_by_name("prime 5")
 
@@ -47,10 +52,22 @@ def test_prime_field_basics():
 
 
 def test_prime_field_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        field_by_name("prime 4")
-    with pytest.raises(ValueError):
-        field_by_name("prime 1")
+    for n in (0, 1, 4):
+        with pytest.raises(ValueError):
+            field_by_name("prime %d" % n)
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            field_by_name("prime %d" % n)
+    # the primality test is exact only below this order, so larger ones are refused
+    with pytest.raises(ValueError, match="too large"):
+        field_by_name("prime 3317044064679887385961981")
+    # a 61-bit prime order is accepted at once
+    start = time.perf_counter()
+    big = field_by_name("prime %d" % (2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert big.p == 2**61 - 1
+    assert big.of(1, 3) * big.of(3) == big.one()
 
 
 def test_field_by_name_unknown():
@@ -62,6 +79,11 @@ def test_fp_values_are_normalized_and_hashable():
     assert Fp(7, 5) == Fp(2, 5)
     assert hash(Fp(7, 5)) == hash(Fp(2, 5))
     assert Fp(3, 5) != Fp(3, 7)
+    # an int equals an element only as its canonical residue, so hashes agree
+    assert Fp(1, 5) != 6
+    assert 6 not in {Fp(1, 5)}
+    assert Fp(1, 5) == 1 and hash(Fp(1, 5)) == hash(1)
+    assert Fp(3, 5) + 6 == Fp(4, 5)
 
 
 def test_matrix_constructors_and_equality():
@@ -142,3 +164,62 @@ def test_prime_field_matrix_ops():
     # determinant 2*3 - 1*1 = 5 vanishes mod 5 though not over the integers
     assert Matrix.from_int_rows(F5, [[2, 1], [1, 3]]).rank() == 1
     assert Matrix.from_int_rows(F5, [[5]]).rank() == 0
+
+
+def _transpose(a):
+    return Matrix.from_rows(a.field, [list(a.col(j)) for j in range(a.cols)], cols=a.rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_echelon_kernel_on_random_matrices(field):
+    rng = random.Random(20231)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        a = random_invertible(rng, field, n, ops=4 * n)
+        ainv = mat_inverse(a)
+        assert mat_mul(ainv, a) == Matrix.identity(field, n)
+        assert mat_mul(a, ainv) == Matrix.identity(field, n)
+
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        m = random_matrix(rng, field, rows, cols)
+        assert m.rank() == _transpose(m).rank() <= min(rows, cols)
+
+        cols = rng.randint(0, 12)
+        tall = random_matrix(rng, field, rng.randint(cols, 12), cols)
+        x = random_matrix(rng, field, cols, rng.randint(0, 3))
+        if tall.rank() == cols:
+            assert mat_solve(tall, mat_mul(tall, x)) == x
+        else:
+            with pytest.raises(ValueError, match="full column rank"):
+                mat_solve(tall, mat_mul(tall, x))
+
+
+def test_echelon_augmented_columns_are_not_pivoted():
+    a = Matrix.from_int_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+    work = [row + e for row, e in zip(a.to_lists(), Matrix.identity(QQ, 3).to_lists())]
+    assert echelon(work, 3, QQ) == [0, 1]
+    # the augmented block has full rank, but no pivot was taken in it
+    assert work[2][:3] == [0, 0, 0]
+    assert work[2][3:] != [0, 0, 0]
+    assert [row[:3] for row in work[:2]] == [[1, 0, 1], [0, 1, 1]]
+    tall = Matrix.from_int_rows(QQ, [[1, 0], [0, 1], [1, 1]])
+    with pytest.raises(ValueError, match="inconsistent system"):
+        mat_solve(tall, Matrix.from_int_rows(QQ, [[1], [0], [0]]))
+
+
+def test_echelon_empty_shapes():
+    assert echelon([], 3, QQ) == []
+    assert echelon([[], []], 0, F5) == []
+    for field in FIELDS:
+        assert Matrix.zero(field, 0, 4).rank() == 0
+        assert Matrix.zero(field, 4, 0).rank() == 0
+        assert mat_solve(Matrix.zero(field, 3, 0), Matrix.zero(field, 3, 2)) == Matrix.zero(
+            field, 0, 2
+        )
+        assert mat_solve(Matrix.zero(field, 0, 0), Matrix.zero(field, 0, 2)) == Matrix.zero(
+            field, 0, 2
+        )
+        with pytest.raises(ValueError, match="inconsistent system"):
+            mat_solve(Matrix.zero(field, 1, 0), Matrix.identity(field, 1))
+        with pytest.raises(ValueError, match="full column rank"):
+            mat_solve(Matrix.zero(field, 0, 2), Matrix.zero(field, 0, 1))
