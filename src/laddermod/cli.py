@@ -44,6 +44,12 @@ from .coarse import coarse_decompose, q_split
 from .matching import bl_matching, induced_matching, matching_cost
 
 
+# Largest accepted sum of squared fibre dimensions in a module file. Barcode
+# reduction allocates a d x d matrix per level, so larger files are refused on
+# their dims line instead of running out of memory later.
+_MAX_DIMS_SQUARED = 10**7
+
+
 class ParseError(Exception):
     def __init__(self, lineno, msg):
         super().__init__("line %d: %s" % (lineno, msg))
@@ -130,6 +136,10 @@ def _parse_module_body(ls):
         raise ParseError(ls.lineno, "dims must list at least one dimension")
     if any(d < 0 for d in dims):
         raise ParseError(ls.lineno, "dimensions must be >= 0")
+    if sum(d * d for d in dims) > _MAX_DIMS_SQUARED:
+        raise ParseError(
+            ls.lineno, "dimensions too large: the sum of their squares exceeds %d" % _MAX_DIMS_SQUARED
+        )
     maps = []
     for i in range(1, len(dims)):
         _expect(ls, "map %d" % i)

@@ -206,16 +206,16 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows_of_entries, cols=None):
+        """Matrix from a list of rows. cols, when given, is the width every
+        row must have (and the width of a matrix with no rows); otherwise the
+        first row sets it."""
         rows = len(rows_of_entries)
-        if rows == 0:
-            if cols is None:
-                cols = 0
-            return cls(field, 0, cols, ())
-        cols = len(rows_of_entries[0])
+        if cols is None:
+            cols = len(rows_of_entries[0]) if rows else 0
         flat = []
         for r in rows_of_entries:
             if len(r) != cols:
-                raise ValueError("ragged rows")
+                raise ValueError("row of width %d in a matrix of %d columns" % (len(r), cols))
             flat.extend(r)
         return cls(field, rows, cols, flat)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Matrix
-from .morphism import MorphismMatrix, _masked, from_single_matrix, to_single_matrix
+from .morphism import MorphismMatrix, from_single_matrix, to_single_matrix
 from .persistence import (
     BarcodeBasis,
     BasisChange,
@@ -55,61 +55,83 @@ class AdmissibleOp:
             mm.field.fmt(self.scalar), mm.row_gens[self.source].bar)
 
 
-def apply_op(mm, op):
-    """Apply one admissible operation and drop unsupported coefficients."""
-    field = mm.field
-    zero = field.zero()
-    nrows, ncols = len(mm.row_gens), len(mm.col_gens)
-    data = list(mm.entries.data)
-    k = op.kind
+def _support(row_gens, col_gens):
+    """ok[r][c] is True when entry (r, c) may be nonzero: the row bar
+    overlap-precedes the column bar."""
+    return [[interval_overlap(rg.bar, cg.bar) for cg in col_gens] for rg in row_gens]
+
+
+def _apply(rows, ok, row_gens, col_gens, op):
+    """Apply one admissible operation to the row lists, in place.
+
+    rows must already satisfy the support mask ok. An addition then changes
+    only its target column or row, and the coefficients the mask would drop
+    there are the ones landing on entries that must stay zero, so those
+    entries are skipped instead of written and cleared again. Terms with a
+    zero factor are skipped too: they change no value.
+    """
+    k, s = op.kind, op.scalar
     if k in ("scale-col", "scale-row"):
-        if op.scalar == zero:
+        if not s:
             raise ValueError("scale by zero")
         if k == "scale-col":
-            for r in range(nrows):
-                data[r * ncols + op.target] = data[r * ncols + op.target] * op.scalar
+            t = op.target
+            for row in rows:
+                if row[t]:
+                    row[t] = row[t] * s
         else:
-            for c in range(ncols):
-                data[op.target * ncols + c] = data[op.target * ncols + c] * op.scalar
+            rows[op.target] = [x * s for x in rows[op.target]]
     elif k in ("AO1-col", "AO2"):
-        if op.target == op.source:
+        t, src = op.target, op.source
+        if t == src:
             raise ValueError("column op onto itself")
-        tb = mm.col_gens[op.target].bar
-        sb = mm.col_gens[op.source].bar
+        tb, sb = col_gens[t].bar, col_gens[src].bar
         if k == "AO1-col":
             if tb != sb:
                 raise ValueError("AO1-col needs equal bars, got %s and %s" % (sb, tb))
         elif not interval_overlap(sb, tb):
             raise ValueError("AO2 needs %s to overlap-precede %s" % (sb, tb))
-        for r in range(nrows):
-            data[r * ncols + op.target] = (
-                data[r * ncols + op.target] + op.scalar * data[r * ncols + op.source]
-            )
-        data = _masked(mm.row_gens, mm.col_gens, field, data)
+        for row, allowed in zip(rows, ok):
+            x = row[src]
+            if x and allowed[t]:
+                row[t] = row[t] + s * x
     elif k in ("AO1-row", "AO3"):
-        if op.target == op.source:
+        t, src = op.target, op.source
+        if t == src:
             raise ValueError("row op onto itself")
-        tb = mm.row_gens[op.target].bar
-        sb = mm.row_gens[op.source].bar
+        tb, sb = row_gens[t].bar, row_gens[src].bar
         if k == "AO1-row":
             if tb != sb:
                 raise ValueError("AO1-row needs equal bars, got %s and %s" % (sb, tb))
         elif not interval_overlap(tb, sb):
             raise ValueError("AO3 needs %s to overlap-precede %s" % (tb, sb))
-        for c in range(ncols):
-            data[op.target * ncols + c] = (
-                data[op.target * ncols + c] + op.scalar * data[op.source * ncols + c]
-            )
-        data = _masked(mm.row_gens, mm.col_gens, field, data)
+        target, allowed = rows[t], ok[t]
+        for c, x in enumerate(rows[src]):
+            if x and allowed[c]:
+                target[c] = target[c] + s * x
     else:
         raise ValueError("unknown op kind %r" % k)
-    return MorphismMatrix(mm.row_gens, mm.col_gens, Matrix(field, nrows, ncols, data))
+
+
+def _rebuilt(mm, rows):
+    """mm's generators around new entry rows."""
+    return MorphismMatrix(
+        mm.row_gens, mm.col_gens, Matrix.from_rows(mm.field, rows, cols=len(mm.col_gens))
+    )
+
+
+def apply_op(mm, op):
+    """Apply one admissible operation and drop unsupported coefficients."""
+    return apply_ops(mm, (op,))
 
 
 def apply_ops(mm, ops):
+    """Apply admissible operations in order, on one working copy of the entries."""
+    rows = mm.entries.to_lists()
+    ok = _support(mm.row_gens, mm.col_gens)
     for op in ops:
-        mm = apply_op(mm, op)
-    return mm
+        _apply(rows, ok, mm.row_gens, mm.col_gens, op)
+    return _rebuilt(mm, rows)
 
 
 def is_matching_form(mm):
@@ -156,23 +178,18 @@ class ReductionFailure:
         return self.message
 
 
-def _blocking_failure(cur, ops, r, c, row_pivot, col_pivot):
-    zero = cur.field.zero()
-    rbar = cur.row_gens[r].bar
-    cbar = cur.col_gens[c].bar
+def _blocking_failure(mm, rows, ops, r, c, row_pivot, col_pivot):
+    rbar = mm.row_gens[r].bar
+    cbar = mm.col_gens[c].bar
     usable_rows = tuple(
         k
-        for k in range(len(cur.row_gens))
-        if k != r
-        and cur.entry(k, c) != zero
-        and interval_overlap(rbar, cur.row_gens[k].bar)
+        for k in range(len(mm.row_gens))
+        if k != r and rows[k][c] and interval_overlap(rbar, mm.row_gens[k].bar)
     )
     usable_cols = tuple(
         k
-        for k in range(len(cur.col_gens))
-        if k != c
-        and cur.entry(r, k) != zero
-        and interval_overlap(cur.col_gens[k].bar, cbar)
+        for k in range(len(mm.col_gens))
+        if k != c and rows[r][k] and interval_overlap(mm.col_gens[k].bar, cbar)
     )
     certified = not usable_rows and not usable_cols
     msg = (
@@ -191,7 +208,7 @@ def _blocking_failure(cur, ops, r, c, row_pivot, col_pivot):
     return ReductionFailure(
         r, c, rbar, cbar,
         row_pivot[r] is not None, col_pivot[c] is not None,
-        usable_rows, usable_cols, certified, tuple(ops), cur, msg,
+        usable_rows, usable_cols, certified, tuple(ops), _rebuilt(mm, rows), msg,
     )
 
 
@@ -216,14 +233,13 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
     """
     if pivot_rule not in ("first", "last"):
         raise ValueError("pivot_rule must be 'first' or 'last'")
-    field = mm.field
-    zero, one = field.zero(), field.one()
-    cur = mm
+    one = mm.field.one()
+    rows = mm.entries.to_lists()
+    ok = _support(mm.row_gens, mm.col_gens)
     ops = []
 
     def do(op):
-        nonlocal cur
-        cur = apply_op(cur, op)
+        _apply(rows, ok, mm.row_gens, mm.col_gens, op)
         ops.append(op)
 
     col_blocks = _blocks(mm.col_gens)
@@ -236,53 +252,52 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
             # first clear entries sitting in already matched rows or columns
             for r in ridx:
                 for c in cidx:
-                    v = cur.entry(r, c)
-                    if v == zero:
+                    v = rows[r][c]
+                    if not v:
                         continue
                     if row_pivot[r] is None and col_pivot[c] is None:
                         continue
                     done = False
                     if col_pivot[c] is not None:
                         src = col_pivot[c]
-                        if interval_overlap(rbar, cur.row_gens[src].bar):
-                            do(AdmissibleOp("AO3", r, src, -v / cur.entry(src, c)))
+                        if interval_overlap(rbar, mm.row_gens[src].bar):
+                            do(AdmissibleOp("AO3", r, src, -v / rows[src][c]))
                             done = True
                     if not done and row_pivot[r] is not None:
                         src = row_pivot[r]
-                        sbar = cur.col_gens[src].bar
+                        sbar = mm.col_gens[src].bar
                         if sbar == cbar:
-                            do(AdmissibleOp("AO1-col", c, src, -v / cur.entry(r, src)))
+                            do(AdmissibleOp("AO1-col", c, src, -v / rows[r][src]))
                             done = True
                         elif interval_overlap(sbar, cbar):
-                            do(AdmissibleOp("AO2", c, src, -v / cur.entry(r, src)))
+                            do(AdmissibleOp("AO2", c, src, -v / rows[r][src]))
                             done = True
                     if not done:
-                        return _blocking_failure(cur, ops, r, c, row_pivot, col_pivot)
+                        return _blocking_failure(mm, rows, ops, r, c, row_pivot, col_pivot)
             # then match free rows against free columns inside the block
             while True:
                 free = [
                     (r, c)
                     for r in ridx
                     for c in cidx
-                    if row_pivot[r] is None
-                    and col_pivot[c] is None
-                    and cur.entry(r, c) != zero
+                    if row_pivot[r] is None and col_pivot[c] is None and rows[r][c]
                 ]
                 if not free:
                     break
                 r, c = free[0] if pivot_rule == "first" else free[-1]
-                v = cur.entry(r, c)
+                v = rows[r][c]
                 if v != one:
                     do(AdmissibleOp("scale-col", c, c, one / v))
                 for r2 in ridx:
-                    if r2 != r and row_pivot[r2] is None and cur.entry(r2, c) != zero:
-                        do(AdmissibleOp("AO1-row", r2, r, -cur.entry(r2, c)))
+                    if r2 != r and row_pivot[r2] is None and rows[r2][c]:
+                        do(AdmissibleOp("AO1-row", r2, r, -rows[r2][c]))
                 for c2 in cidx:
-                    if c2 != c and col_pivot[c2] is None and cur.entry(r, c2) != zero:
-                        do(AdmissibleOp("AO1-col", c2, c, -cur.entry(r, c2)))
+                    if c2 != c and col_pivot[c2] is None and rows[r][c2]:
+                        do(AdmissibleOp("AO1-col", c2, c, -rows[r][c2]))
                 row_pivot[r] = c
                 col_pivot[c] = r
 
+    cur = _rebuilt(mm, rows)
     if not is_matching_form(cur):
         raise RuntimeError("schedule finished but matrix is not in matching form")
     return cur, tuple(ops)
@@ -306,9 +321,8 @@ def search_matching_form(mm, max_states=200000):
     admissible ops. It is not complete in principle, since a matching form
     reachable only through measure-increasing detours would be missed.
     """
-    field = mm.field
-    zero, one = field.zero(), field.one()
     nrows, ncols = len(mm.row_gens), len(mm.col_gens)
+    ok = _support(mm.row_gens, mm.col_gens)
 
     col_blocks = _blocks(mm.col_gens)
     row_blocks = _blocks(mm.row_gens)
@@ -320,24 +334,18 @@ def search_matching_form(mm, max_states=200000):
             k += 1
     nblocks = k
     base = max(nrows, ncols) + 2
-    weight = {}
-    for r in range(nrows):
-        for c in range(ncols):
-            blk = order[(mm.row_gens[r].bar, mm.col_gens[c].bar)]
-            weight[(r, c)] = base ** (nblocks - blk)
+    weight = [
+        [base ** (nblocks - order[(rg.bar, cg.bar)]) for cg in mm.col_gens]
+        for rg in mm.row_gens
+    ]
 
-    def measure(data):
-        return sum(
-            weight[(r, c)]
-            for r in range(nrows)
-            for c in range(ncols)
-            if data[r * ncols + c] != zero
-        )
+    def measure(state):
+        return sum(w for wrow, row in zip(weight, state) for w, x in zip(wrow, row) if x)
 
-    def is_pattern_matched(data):
+    def is_pattern_matched(state):
         col_hit = [0] * ncols
-        for r in range(nrows):
-            nz = [c for c in range(ncols) if data[r * ncols + c] != zero]
+        for row in state:
+            nz = [c for c, x in enumerate(row) if x]
             if len(nz) > 1:
                 return False
             for c in nz:
@@ -346,129 +354,114 @@ def search_matching_form(mm, max_states=200000):
                     return False
         return True
 
-    col_ok = {}
-    for s in range(ncols):
-        for t in range(ncols):
-            if s == t:
-                continue
-            sb, tb = mm.col_gens[s].bar, mm.col_gens[t].bar
-            col_ok[(s, t)] = sb == tb or interval_overlap(sb, tb)
-    row_ok = {}
-    for s in range(nrows):
-        for t in range(nrows):
-            if s == t:
-                continue
-            sb, tb = mm.row_gens[s].bar, mm.row_gens[t].bar
-            row_ok[(s, t)] = sb == tb or interval_overlap(tb, sb)
-
-    def successors(data):
-        m0 = measure(data)
+    def successors(state):
+        m0 = measure(state)
         out = []
+
+        def add(op):
+            rows = [list(row) for row in state]
+            _apply(rows, ok, mm.row_gens, mm.col_gens, op)
+            nd = tuple(map(tuple, rows))
+            if measure(nd) < m0:
+                out.append(nd)
+
         for s in range(ncols):
             for t in range(ncols):
-                if s == t or not col_ok[(s, t)]:
+                if s == t:
                     continue
-                for r in range(nrows):
-                    vs = data[r * ncols + s]
-                    vt = data[r * ncols + t]
-                    if vs == zero or vt == zero:
-                        continue
-                    alpha = -vt / vs
-                    nd = list(data)
-                    for rr in range(nrows):
-                        nd[rr * ncols + t] = nd[rr * ncols + t] + alpha * nd[rr * ncols + s]
-                    nd = _masked(mm.row_gens, mm.col_gens, field, nd)
-                    if measure(nd) < m0:
-                        out.append(tuple(nd))
+                sb, tb = mm.col_gens[s].bar, mm.col_gens[t].bar
+                if sb == tb:
+                    kind = "AO1-col"
+                elif interval_overlap(sb, tb):
+                    kind = "AO2"
+                else:
+                    continue
+                for row in state:
+                    if row[s] and row[t]:
+                        add(AdmissibleOp(kind, t, s, -row[t] / row[s]))
         for s in range(nrows):
             for t in range(nrows):
-                if s == t or not row_ok[(s, t)]:
+                if s == t:
                     continue
-                for c in range(ncols):
-                    vs = data[s * ncols + c]
-                    vt = data[t * ncols + c]
-                    if vs == zero or vt == zero:
-                        continue
-                    alpha = -vt / vs
-                    nd = list(data)
-                    for cc in range(ncols):
-                        nd[t * ncols + cc] = nd[t * ncols + cc] + alpha * nd[s * ncols + cc]
-                    nd = _masked(mm.row_gens, mm.col_gens, field, nd)
-                    if measure(nd) < m0:
-                        out.append(tuple(nd))
+                sb, tb = mm.row_gens[s].bar, mm.row_gens[t].bar
+                if sb == tb:
+                    kind = "AO1-row"
+                elif interval_overlap(tb, sb):
+                    kind = "AO3"
+                else:
+                    continue
+                for vs, vt in zip(state[s], state[t]):
+                    if vs and vt:
+                        add(AdmissibleOp(kind, t, s, -vt / vs))
         return out
 
     seen = set()
-    stack = [tuple(mm.entries.data)]
+    stack = [tuple(mm.entries.row(r) for r in range(nrows))]
     states = 0
     truncated = False
     found = None
     while stack:
-        data = stack.pop()
-        if data in seen:
+        state = stack.pop()
+        if state in seen:
             continue
-        seen.add(data)
+        seen.add(state)
         states += 1
-        if is_pattern_matched(data):
-            found = data
+        if is_pattern_matched(state):
+            found = state
             break
         if states >= max_states:
             truncated = True
             break
-        stack.extend(successors(data))
+        stack.extend(successors(state))
 
     if found is None:
         return SearchResult(None, states, not truncated and not stack)
     # normalize the matched pattern to honest 1s by column scalings
-    nd = list(found)
+    one = mm.field.one()
+    rows = [list(row) for row in found]
     for c in range(ncols):
-        col_entries = [(r, nd[r * ncols + c]) for r in range(nrows) if nd[r * ncols + c] != zero]
-        if col_entries:
-            r, v = col_entries[0]
-            if v != one:
-                for rr in range(nrows):
-                    nd[rr * ncols + c] = nd[rr * ncols + c] / v
-    out = MorphismMatrix(mm.row_gens, mm.col_gens, Matrix(field, nrows, ncols, nd))
+        v = next((row[c] for row in rows if row[c]), one)
+        if v != one:
+            _apply(rows, ok, mm.row_gens, mm.col_gens, AdmissibleOp("scale-col", c, c, one / v))
+    out = _rebuilt(mm, rows)
     if not is_matching_form(out):
         raise RuntimeError("search result is not in matching form")
     return SearchResult(out, states, True)
 
 
-def _op_basis_update(basis, op, mm, side):
-    """Fold one admissible op into the recorded coordinate change of the
-    corresponding endpoint: column ops rewrite the domain basis, row ops the
-    codomain basis."""
-    gens = mm.col_gens if side == "dom" else mm.row_gens
-    mats = [g.to_lists() for g in basis.change.mats]
-    k = op.kind
-    if k == "scale-col" and side == "dom":
-        gen = gens[op.target]
-        inv = basis.reduced.field.one() / op.scalar
-        for t in range(gen.bar.a, gen.bar.b + 1):
-            p = gen.position_at(t)
-            mats[t][p] = [inv * x for x in mats[t][p]]
-    elif k == "scale-row" and side == "cod":
-        gen = gens[op.target]
-        for t in range(gen.bar.a, gen.bar.b + 1):
-            p = gen.position_at(t)
-            mats[t][p] = [op.scalar * x for x in mats[t][p]]
-    elif k in ("AO1-col", "AO2") and side == "dom":
-        tgt, src = gens[op.target], gens[op.source]
-        lo = max(tgt.bar.a, src.bar.a)
-        hi = min(tgt.bar.b, src.bar.b)
-        for t in range(lo, hi + 1):
-            ps, pt = src.position_at(t), tgt.position_at(t)
-            mats[t][ps] = [x - op.scalar * y for x, y in zip(mats[t][ps], mats[t][pt])]
-    elif k in ("AO1-row", "AO3") and side == "cod":
-        tgt, src = gens[op.target], gens[op.source]
-        lo = max(tgt.bar.a, src.bar.a)
-        hi = min(tgt.bar.b, src.bar.b)
-        for t in range(lo, hi + 1):
-            ps, pt = src.position_at(t), tgt.position_at(t)
-            mats[t][pt] = [x + op.scalar * y for x, y in zip(mats[t][pt], mats[t][ps])]
-    else:
+_SIDE_KINDS = {
+    "dom": ("scale-col", "AO1-col", "AO2"),
+    "cod": ("scale-row", "AO1-row", "AO3"),
+}
+
+
+def _fold_ops(basis, ops, side):
+    """Fold the ops of one side into the recorded coordinate change of that
+    endpoint: column ops rewrite the domain basis ("dom"), row ops the
+    codomain basis ("cod"). The generators are the basis's own, the ones
+    indexing the single matrix the ops acted on."""
+    ops = [op for op in ops if op.kind in _SIDE_KINDS[side]]
+    if not ops:
         return basis
     field = basis.reduced.field
+    gens = basis.generators
+    mats = [g.to_lists() for g in basis.change.mats]
+    for op in ops:
+        if op.kind in ("scale-col", "scale-row"):
+            gen = gens[op.target]
+            f = field.one() / op.scalar if side == "dom" else op.scalar
+            for t in range(gen.bar.a, gen.bar.b + 1):
+                p = gen.position_at(t)
+                mats[t][p] = [f * x for x in mats[t][p]]
+            continue
+        s = op.scalar
+        tgt, src = gens[op.target], gens[op.source]
+        for t in range(max(tgt.bar.a, src.bar.a), min(tgt.bar.b, src.bar.b) + 1):
+            ps, pt = src.position_at(t), tgt.position_at(t)
+            if side == "dom":
+                mats[t][ps] = [x - s * y if y else x for x, y in zip(mats[t][ps], mats[t][pt])]
+            else:
+                mats[t][pt] = [x + s * y if y else x for x, y in zip(mats[t][pt], mats[t][ps])]
     change = BasisChange(
         tuple(
             Matrix.from_rows(field, rows, cols=basis.reduced.dims[t])
@@ -524,9 +517,8 @@ def decompose(lm, dom_basis=None, cod_basis=None, pivot_rule="first"):
     if isinstance(red, ReductionFailure):
         return red
     matched, ops = red
-    for op in ops:
-        dom_basis = _op_basis_update(dom_basis, op, matched, "dom")
-        cod_basis = _op_basis_update(cod_basis, op, matched, "cod")
+    dom_basis = _fold_ops(dom_basis, ops, "dom")
+    cod_basis = _fold_ops(cod_basis, ops, "cod")
     zero = matched.field.zero()
     pairs = []
     used_rows = set()

@@ -84,6 +84,15 @@ def random_nested_free_bars(rng, grid_len, count, tries=200):
     raise AssertionError("could not sample a nested-free barcode")
 
 
+def sorted_pairing_bars(rng, grid_len, count, max_len):
+    """count bars from sorted births paired with sorted deaths. No bar sits
+    strictly inside another, so the barcode is nested-free by construction
+    and sampling never has to retry, however many bars are asked for."""
+    births = sorted(rng.randint(0, grid_len) for _ in range(count))
+    deaths = sorted(min(grid_len, a + rng.randint(0, max_len)) for a in births)
+    return [Interval(a, b) for a, b in zip(births, deaths)]
+
+
 def random_morphism_matrix(rng, cod_basis, dom_basis, field, density=0.7):
     """Random single-matrix presentation respecting the support constraint."""
     rows = []
@@ -123,21 +132,24 @@ def random_barcode_morphism(rng, field=None, grid_len=None, nested_free=True):
     return lm, bb_dom, bb_cod, mm
 
 
+def conjugate_morphism(rng, phi):
+    """phi in new coordinates: random invertible changes g on the domain and h
+    on the codomain. Returns (new phi, g, h)."""
+    field = phi.dom.field
+    g = BasisChange(tuple(random_invertible(rng, field, n) for n in phi.dom.dims))
+    h = BasisChange(tuple(random_invertible(rng, field, n) for n in phi.cod.dims))
+    ginv = g.inverses()
+    comps = tuple(h.mats[t] * phi.comps[t] * ginv[t] for t in range(phi.grid_len + 1))
+    return LadderModule(g.apply(phi.dom), h.apply(phi.cod), comps), g, h
+
+
 def conjugate_pair(rng, phi, psi, delta):
     """Apply random invertible coordinate changes to both ends of a certified
     pair, keeping it certified."""
-    V, U = phi.dom, phi.cod
-    field = V.field
-    l = V.grid_len
-    g = BasisChange(tuple(random_invertible(rng, field, n) for n in V.dims))
-    h = BasisChange(tuple(random_invertible(rng, field, n) for n in U.dims))
-    ginv = g.inverses()
+    l = phi.grid_len
+    phi2, g, h = conjugate_morphism(rng, phi)
+    V2, U2 = phi2.dom, phi2.cod
     hinv = h.inverses()
-    V2 = g.apply(V)
-    U2 = h.apply(U)
-    phi2 = LadderModule(
-        V2, U2, tuple(h.mats[t] * phi.comps[t] * ginv[t] for t in range(l + 1))
-    )
     # psi: U -> V(2*delta); the V-side change acts through the shift
     two = 2 * delta
     psi_comps = []

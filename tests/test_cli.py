@@ -64,12 +64,13 @@ def laddermod_cmd():
     return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
 
 
-def run_child(cmd, **env):
+def run_child(cmd, preexec_fn=None, **env):
     """Run `cmd` with `os.environ` plus `env`, and the laddermod under test
-    first on the child's PYTHONPATH."""
+    first on the child's PYTHONPATH. preexec_fn runs in the child before it
+    starts `cmd`."""
     env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 def test_module_round_trip(running):
@@ -262,6 +263,30 @@ def test_console_script_and_module_entry(laddermod_cmd, data_dir, tmp_path):
     r = run_child(laddermod_cmd + ["barcode", str(bad)])
     assert r.returncode == 1
     assert "line" in r.stderr
+
+
+def test_absurd_dims_rejected_on_their_line(laddermod_cmd, tmp_path):
+    """A module file whose dims would need a huge identity per level fails
+    with its line number before anything is allocated."""
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        # a child that allocates anyway dies fast instead of exhausting the host
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    huge = tmp_path / "huge.txt"
+    huge.write_text("module\nfield rational\ndims 1000000000 0\nmap 1\n")
+    r = run_child(laddermod_cmd + ["barcode", str(huge)], preexec_fn=limit_memory)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: line 3: dimensions too large")
+    # the limit is on the sum of squares: 3162^2 is below 10^7, 3163^2 above
+    assert parse_module_text("module\nfield rational\ndims 3162\n").dims == (3162,)
+    with pytest.raises(ParseError) as exc:
+        parse_module_text("module\nfield rational\ndims 3163\n")
+    assert exc.value.lineno == 3
+    with pytest.raises(ParseError) as exc:
+        parse_module_text("module\nfield rational\ndims 3000 2000\nmap 1\n")
+    assert exc.value.lineno == 3
 
 
 def test_field_env_default(laddermod_cmd, data_dir, tmp_path):

@@ -98,6 +98,19 @@ def test_matrix_constructors_and_equality():
     assert Matrix.from_rows(QQ, [[QQ.of(1), QQ.of(2)], [QQ.of(3), QQ.of(4)]]) == m
 
 
+def test_from_rows_honours_cols():
+    one = QQ.one()
+    with pytest.raises(ValueError, match="width 2 in a matrix of 3 columns"):
+        Matrix.from_rows(QQ, [[one, one]], cols=3)
+    with pytest.raises(ValueError, match="width 1 in a matrix of 2 columns"):
+        Matrix.from_rows(QQ, [[one, one], [one]])
+    assert Matrix.from_rows(QQ, [[one, one]], cols=2) == Matrix.from_rows(QQ, [[one, one]])
+    for rows in ([], ()):
+        m = Matrix.from_rows(QQ, rows, cols=3)
+        assert (m.rows, m.cols) == (0, 3)
+    assert Matrix.from_rows(QQ, []).cols == 0
+
+
 def test_matrix_multiplication_and_shape_errors():
     a = Matrix.from_int_rows(QQ, [[1, 2], [0, 1]])
     b = Matrix.from_int_rows(QQ, [[1, 0], [1, 1]])

@@ -1,9 +1,11 @@
 """Admissible operations, the matching-form reduction, and full decompositions."""
 
 import math
+import random
 
 import pytest
 
+import gen
 from laddermod import (
     AdmissibleOp,
     Interval,
@@ -16,7 +18,9 @@ from laddermod import (
     apply_ops,
     check_nestedness_precondition,
     decompose,
+    field_by_name,
     from_single_matrix,
+    interval_overlap,
     is_matching_form,
     mat_inverse,
     module_from_barcode,
@@ -150,6 +154,11 @@ def test_counterexample_reduction_failure(counterexample):
     assert fail.certified
     assert "no admissible operation" in fail.message
     assert str(fail.row_bar) in fail.message
+    assert fail.usable_rows == () and fail.usable_cols == ()
+    assert fail.row_used and not fail.col_used
+    assert len(fail.ops) == 2
+    # the stuck matrix is exactly where the recorded ops lead
+    assert fail.stuck == apply_ops(counterexample.mm, fail.ops)
 
 
 def test_counterexample_search_exhausts(counterexample):
@@ -224,3 +233,78 @@ def test_nestedness_precondition_report(running, counterexample):
     assert not rep2.ok
     assert rep2.xi_dom == 2
     assert "not guaranteed" in str(rep2)
+
+
+def reference_apply(mm, op):
+    """One admissible op the plain way: copy all entries, apply the op, then
+    re-mask every entry whose row bar does not overlap-precede its column bar."""
+    zero = mm.field.zero()
+    n = len(mm.col_gens)
+    data = list(mm.entries.data)
+    t, s, a = op.target, op.source, op.scalar
+    for r in range(len(mm.row_gens)):
+        for c in range(n):
+            if (op.kind, c) == ("scale-col", t) or (op.kind, r) == ("scale-row", t):
+                data[r * n + c] = data[r * n + c] * a
+            elif op.kind in ("AO1-col", "AO2") and c == t:
+                data[r * n + c] = data[r * n + c] + a * data[r * n + s]
+            elif op.kind in ("AO1-row", "AO3") and r == t:
+                data[r * n + c] = data[r * n + c] + a * data[s * n + c]
+    for r, rg in enumerate(mm.row_gens):
+        for c, cg in enumerate(mm.col_gens):
+            if not interval_overlap(rg.bar, cg.bar):
+                data[r * n + c] = zero
+    return MorphismMatrix(mm.row_gens, mm.col_gens, Matrix(mm.field, len(mm.row_gens), n, data))
+
+
+def wide_nested_free_morphism(rng, field):
+    """A random morphism between nested-free interval modules with 16 to 32
+    bars per side, and its barcode bases."""
+    n = rng.randint(16, 32)
+    grid_len = n + 16
+    dom = module_from_barcode(field, grid_len, gen.sorted_pairing_bars(rng, grid_len, n, 8))
+    cod = module_from_barcode(field, grid_len, gen.sorted_pairing_bars(rng, grid_len, n, 8))
+    bb_dom, bb_cod = reduce_to_barcode_basis(dom), reduce_to_barcode_basis(cod)
+    mm = gen.random_morphism_matrix(rng, bb_cod, bb_dom, field)
+    return from_single_matrix(mm, dom, cod, bb_dom, bb_cod), bb_dom, bb_cod, mm
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_in_place_reduction_matches_reference_ops(field_name):
+    rng = random.Random("wide/" + field_name)
+    field = field_by_name(field_name)
+    for _ in range(4):
+        lm, bb_dom, bb_cod, mm = wide_nested_free_morphism(rng, field)
+        dec = decompose(lm, bb_dom, bb_cod)
+        assert isinstance(dec, LadderDecomposition)
+        assert len(dec.ops) > 0
+        replayed = mm
+        for op in dec.ops:
+            replayed = reference_apply(replayed, op)
+        assert replayed == dec.matching
+        assert apply_ops(mm, dec.ops) == dec.matching
+        assert verify_decomposition(lm, dec) is None
+
+
+def test_decompose_builds_constant_number_of_single_matrices(monkeypatch, running, counterexample):
+    """The reducer works on one row list: a decomposition builds the same
+    number of MorphismMatrix objects however many ops it applies."""
+    built = []
+    check = MorphismMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(MorphismMatrix, "__post_init__", counted)
+    lm, bb_dom, bb_cod, _ = wide_nested_free_morphism(random.Random("builds"), QQ)
+    counts = []
+    op_counts = []
+    for args in ((running.phi, running.bbV, running.bbW1), (lm, bb_dom, bb_cod),
+                 (counterexample.cphi, counterexample.bcv, counterexample.bcw)):
+        del built[:]
+        out = decompose(*args)
+        counts.append(len(built))
+        op_counts.append(len(out.ops))
+    assert op_counts[0] < op_counts[1]
+    assert counts == [counts[0]] * 3

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gen
@@ -16,6 +17,7 @@ from laddermod import (
     compose_single,
     decompose,
     field_by_name,
+    from_single_matrix,
     module_from_barcode,
     nestedness,
     reduce_to_barcode_basis,
@@ -227,3 +229,54 @@ def test_certified_pairs_decompose_and_match_within_delta(seed):
 
     chi = induced_matching(dec)
     assert matching_cost(chi) <= Fraction(delta)
+
+
+def _rank(rows):
+    """Rank by plain forward elimination on row lists."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][j]:
+                f = rows[i][j] / rows[rank][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_morphism_rank_oracle_at_scale(field_name):
+    """For s <= t, rank(w_{s,t} . phi_s) counts the matched pairs (J -> K)
+    with J.a <= s and t <= K.b. The left side comes from the raw components
+    and structure maps, in the arbitrary coordinates of the input, with no
+    barcode basis."""
+    field = field_by_name(field_name)
+    rng = random.Random("rank/" + field_name)
+    for _ in range(4):
+        n = rng.randint(16, 32)
+        l = n + 16
+        dom = module_from_barcode(field, l, gen.sorted_pairing_bars(rng, l, n, 8))
+        cod = module_from_barcode(field, l, gen.sorted_pairing_bars(rng, l, n, 8))
+        bb_dom, bb_cod = reduce_to_barcode_basis(dom), reduce_to_barcode_basis(cod)
+        mm = gen.random_morphism_matrix(rng, bb_cod, bb_dom, field)
+        phi, _, _ = gen.conjugate_morphism(rng, from_single_matrix(mm, dom, cod, bb_dom, bb_cod))
+        dec = decompose(phi)
+        assert isinstance(dec, LadderDecomposition)
+        pairs = [(dg.bar, cg.bar) for cg, dg in dec.pairs]
+        zero = field.zero()
+        for s in range(l + 1):
+            x = phi.comps[s].to_lists()
+            for t in range(s, l + 1):
+                if t > s:
+                    w = phi.cod.map_at(t)
+                    x = [
+                        [sum((w.get(i, k) * x[k][j] for k in range(w.cols)), zero)
+                         for j in range(phi.dom.dims[s])]
+                        for i in range(w.rows)
+                    ]
+                want = sum(1 for j, k in pairs if j.a <= s and t <= k.b)
+                assert _rank(x) == want, (s, t)
