@@ -285,13 +285,13 @@ def echelon(rows, ncols, field):
     or below the current row; pivot rows are scaled to 1 and their column is
     cleared above and below. Returns the pivot columns in order.
     """
-    zero, one = field.zero(), field.one()
+    one = field.one()
     pivots = []
     for j in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][j] != zero), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -299,9 +299,9 @@ def echelon(rows, ncols, field):
         if f != one:
             rows[r] = [x / f for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][j] != zero:
+            if i != r and rows[i][j]:
                 g = rows[i][j]
-                rows[i] = [x - g * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x - g * y if y else x for x, y in zip(rows[i], rows[r])]
         pivots.append(j)
     return pivots
 
@@ -312,16 +312,15 @@ def mat_mul(a, b):
     if a.field != b.field:
         raise ValueError("field mismatch")
     zero = a.field.zero()
+    bcols = [b.data[j :: b.cols] for j in range(b.cols)]
     out = []
-    bcols = b.cols
     for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(bcols):
+        # zero terms add nothing, so only the nonzero ones are summed, in k order
+        terms = [(x, k) for k, x in enumerate(a.row(i)) if x]
+        for col in bcols:
             s = zero
-            for k in range(a.cols):
-                x = arow[k]
-                if x != zero:
-                    s = s + x * b.data[k * bcols + j]
+            for x, k in terms:
+                s = s + x * col[k]
             out.append(s)
     return Matrix(a.field, a.rows, b.cols, out)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# The inverses come from BasisChange.inverses(); mat_inverse is imported for
+# the traced benchmark run (bench/workloads.py), which rebinds it in this module.
 from .fields import Matrix, mat_inverse, mat_mul
 from .persistence import (
     BarcodeBasis,
@@ -160,7 +162,21 @@ class MorphismMatrix:
 
 
 def _check_basis(basis, module, which):
-    if basis.change.apply(module) != basis.reduced:
+    """Raise ValueError unless basis.change takes module to basis.reduced,
+    that is g_t A_t g_{t-1}^{-1} == R_t at every t. Once every g_t is known
+    to be invertible this is g_t A_t == R_t g_{t-1}, which needs no product
+    with an inverse. The checks and messages are those of applying the change
+    with BasisChange.apply and comparing, in the same order."""
+    g, red = basis.change.mats, basis.reduced
+    if tuple(x.rows for x in g) != module.dims:
+        raise ValueError("basis change does not fit module dims")
+    basis.change.inverses()  # "not square" or "singular matrix"; kept for the callers
+    if module.grid_len and any(x.field != module.field for x in g):
+        raise ValueError("field mismatch")
+    if red.field != module.field or red.dims != module.dims or any(
+        mat_mul(g[t], module.map_at(t)) != mat_mul(red.map_at(t), g[t - 1])
+        for t in range(1, module.grid_len + 1)
+    ):
         raise ValueError("%s basis does not reduce the %s module" % (which, which))
 
 
@@ -168,7 +184,7 @@ def to_single_matrix(lm, dom_basis, cod_basis):
     """Express a morphism as its single matrix over the given barcode bases."""
     _check_basis(dom_basis, lm.dom, "domain")
     _check_basis(cod_basis, lm.cod, "codomain")
-    g_inv = [mat_inverse(g) for g in dom_basis.change.mats]
+    g_inv = dom_basis.change.inverses()
     P = [
         mat_mul(mat_mul(cod_basis.change.mats[t], lm.comps[t]), g_inv[t])
         for t in range(lm.grid_len + 1)
@@ -216,7 +232,7 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     zero = field.zero()
     l = dom.grid_len
     comps = []
-    h_inv = [mat_inverse(h) for h in cod_basis.change.mats]
+    h_inv = cod_basis.change.inverses()
     for t in range(l + 1):
         data = [[zero] * dom.dims[t] for _ in range(cod.dims[t])]
         for r, rg in enumerate(cod_basis.generators):
@@ -229,7 +245,9 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
                 if v != zero:
                     data[rg.position_at(t)][cg.position_at(t)] = v
         P = Matrix.from_rows(field, data, cols=dom.dims[t])
-        comps.append(mat_mul(mat_mul(h_inv[t], P), dom_basis.change.mats[t]))
+        # P is sparse (in matching form, one nonzero per row at most), so P g is
+        # the cheap product and h^-1 (P g) the only dense one
+        comps.append(mat_mul(h_inv[t], mat_mul(P, dom_basis.change.mats[t])))
     lm = LadderModule(dom, cod, tuple(comps))
     issue = validate_ladder(lm)
     if issue is not None:

@@ -193,7 +193,15 @@ class BasisChange:
         return cls(tuple(Matrix.identity(field, n) for n in dims))
 
     def inverses(self):
-        return tuple(mat_inverse(g) for g in self.mats)
+        """g_t^{-1} at every index. Computed on the first call and kept in the
+        instance dict, outside the dataclass fields, so equality, hash and
+        repr do not see it; the object is frozen and its matrices immutable,
+        so the inverses cannot go stale."""
+        invs = self.__dict__.get("_inverses")
+        if invs is None:
+            invs = tuple(mat_inverse(g) for g in self.mats)
+            object.__setattr__(self, "_inverses", invs)
+        return invs
 
     def apply(self, m):
         """Rewrite the structure maps in the new coordinates: g_t A_t g_{t-1}^{-1}."""

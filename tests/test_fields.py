@@ -206,6 +206,62 @@ def test_echelon_kernel_on_random_matrices(field):
             with pytest.raises(ValueError, match="full column rank"):
                 mat_solve(tall, mat_mul(tall, x))
 
+    # sparse inputs: the row updates meet zero terms, which they skip
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        a = _sparse_matrix(rng, field, n, n)
+        if a.rank() == n:
+            assert mat_mul(mat_inverse(a), a) == Matrix.identity(field, n)
+        else:
+            with pytest.raises(ValueError, match="singular matrix"):
+                mat_inverse(a)
+        a = random_invertible(rng, field, n, ops=n // 2)
+        assert mat_mul(a, mat_inverse(a)) == Matrix.identity(field, n)
+
+        m = _sparse_matrix(rng, field, rng.randint(0, 12), rng.randint(0, 12))
+        assert m.rank() == _transpose(m).rank() <= min(m.rows, m.cols)
+
+        cols = rng.randint(0, 12)
+        tall = _sparse_matrix(rng, field, rng.randint(cols, 12), cols)
+        x = _sparse_matrix(rng, field, cols, rng.randint(0, 3))
+        if tall.rank() == cols:
+            assert mat_solve(tall, mat_mul(tall, x)) == x
+        else:
+            with pytest.raises(ValueError, match="full column rank"):
+                mat_solve(tall, mat_mul(tall, x))
+
+
+def _sparse_matrix(rng, field, rows, cols):
+    """About 40% zeros, the other entries small and nonzero in both fields."""
+    return Matrix.from_rows(
+        field,
+        [[field.of(rng.choice((-2, -1, 1, 2, 3))) if rng.random() < 0.6 else field.zero()
+          for _ in range(cols)] for _ in range(rows)],
+        cols=cols,
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_mat_mul_matches_triple_loop(field):
+    rng = random.Random("mat_mul/" + field.name)
+    zero = field.zero()
+    shapes = [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (4, 0, 4)]
+    shapes += [tuple(rng.randint(0, 8) for _ in range(3)) for _ in range(200)]
+    for r, k, c in shapes:
+        a, b = _sparse_matrix(rng, field, r, k), _sparse_matrix(rng, field, k, c)
+        want = []
+        for i in range(r):
+            for j in range(c):
+                s = zero
+                for x in range(k):
+                    s = s + a.get(i, x) * b.get(x, j)
+                want.append(s)
+        got = mat_mul(a, b)
+        assert (got.rows, got.cols) == (r, c)
+        assert got.data == tuple(want)
+        # an empty sum is the field's zero, not the int 0
+        assert all(type(v) is type(zero) for v in got.data)
+
 
 def test_echelon_augmented_columns_are_not_pivoted():
     a = Matrix.from_int_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])

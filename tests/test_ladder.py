@@ -8,6 +8,7 @@ import pytest
 import gen
 from laddermod import (
     AdmissibleOp,
+    BasisChange,
     Interval,
     LadderDecomposition,
     Matrix,
@@ -30,6 +31,7 @@ from laddermod import (
     to_single_matrix,
     verify_decomposition,
 )
+from laddermod import coarse, morphism, persistence
 
 I = Interval
 
@@ -308,3 +310,35 @@ def test_decompose_builds_constant_number_of_single_matrices(monkeypatch, runnin
         op_counts.append(len(out.ops))
     assert op_counts[0] < op_counts[1]
     assert counts == [counts[0]] * 3
+
+
+def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
+    """decompose checks the two endpoint bases and verify_decomposition the
+    two folded ones. Each level of each of these four basis changes is
+    inverted once; the single-matrix conversions reuse those inverses."""
+    phi, _, _ = gen.conjugate_morphism(random.Random("inverses"), running.phi)
+    inverted = []
+
+    def counted(a):
+        inverted.append(a)
+        return mat_inverse(a)
+
+    for module in (persistence, morphism, coarse):
+        monkeypatch.setattr(module, "mat_inverse", counted)
+    dec = decompose(phi)
+    assert isinstance(dec, LadderDecomposition)
+    kinds = {op.kind for op in dec.ops}
+    assert kinds & {"scale-col", "AO1-col", "AO2"} and kinds & {"scale-row", "AO1-row", "AO3"}
+    assert verify_decomposition(phi, dec) is None
+    assert len(inverted) == 4 * (phi.grid_len + 1)
+    assert len({id(a) for a in inverted}) == len(inverted)
+
+
+def test_basis_change_inverses_are_kept_outside_equality():
+    mats = tuple(gen.random_invertible(random.Random(7), QQ, n, ops=4) for n in (2, 3, 1))
+    filled, empty = BasisChange(mats), BasisChange(mats)
+    invs = filled.inverses()
+    assert filled.inverses() is invs
+    assert all(mat_inverse(g) == h for g, h in zip(mats, invs))
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)

@@ -1,19 +1,27 @@
 """Ladder modules, single-matrix presentations, and interleaving checks."""
 
+import random
+from collections import Counter
+
 import pytest
 
+import gen
 from laddermod import (
+    BarcodeBasis,
+    BasisChange,
     Interval,
     InterleavingCertificate,
     LadderModule,
     Matrix,
     MorphismMatrix,
+    PersistenceModule,
     QQ,
     TriangleFailure,
     check_delta_invertible,
     check_interleaving,
     compose_ladder,
     compose_single,
+    field_by_name,
     from_single_matrix,
     identity_ladder,
     inner_ladder,
@@ -24,6 +32,7 @@ from laddermod import (
     to_single_matrix,
     validate_ladder,
 )
+from laddermod.morphism import _check_basis
 
 I = Interval
 
@@ -193,3 +202,138 @@ def test_codomain_triangle_failure(running):
 def test_delta_must_be_nonnegative(running):
     with pytest.raises(ValueError):
         check_delta_invertible(running.phi, running.psi_on, -1)
+
+
+def _with_change(basis, mats):
+    return BarcodeBasis(BasisChange(tuple(mats)), basis.barcode, basis.generators, basis.reduced)
+
+
+def _bad_basis(kind, basis, foreign):
+    """basis broken one way; foreign is a barcode basis of another module with
+    the same dims."""
+    mats = list(basis.change.mats)
+    t = next(t for t, g in enumerate(mats) if g.rows >= 2)
+    field = mats[t].field
+    if kind == "another module":
+        return foreign
+    if kind == "zero row":
+        rows = mats[t].to_lists()
+        rows[1] = [field.zero()] * mats[t].cols
+        mats[t] = Matrix.from_rows(field, rows, cols=mats[t].cols)
+    elif kind == "foreign invertible level":
+        shear = Matrix.identity(field, mats[t].rows).to_lists()
+        shear[0][1] = field.of(3)
+        mats[t] = Matrix.from_rows(field, shear, cols=mats[t].cols)
+    else:
+        mats.pop()
+    return _with_change(basis, mats)
+
+
+@pytest.mark.parametrize("side", ["domain", "codomain"])
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("another module", "%s basis does not reduce the %s module"),
+        ("zero row", "singular matrix"),
+        ("foreign invertible level", "%s basis does not reduce the %s module"),
+        ("wrong number of levels", "basis change does not fit module dims"),
+    ],
+)
+def test_single_matrix_rejects_bad_bases(running, side, kind, message):
+    phi, _, _ = gen.conjugate_morphism(random.Random("bad-bases"), running.phi)
+    bases = {
+        "domain": reduce_to_barcode_basis(phi.dom),
+        "codomain": reduce_to_barcode_basis(phi.cod),
+    }
+    mm = to_single_matrix(phi, bases["domain"], bases["codomain"])
+    foreign = {"domain": running.bbV, "codomain": running.bbW1}[side]
+    bases[side] = _bad_basis(kind, bases[side], foreign)
+    want = message % (side, side) if "%" in message else message
+    with pytest.raises(ValueError) as e:
+        to_single_matrix(phi, bases["domain"], bases["codomain"])
+    assert str(e.value) == want
+    with pytest.raises(ValueError) as e:
+        from_single_matrix(mm, phi.dom, phi.cod, bases["domain"], bases["codomain"])
+    assert str(e.value) == want
+
+
+def _reference_check(basis, module, which):
+    if basis.change.apply(module) != basis.reduced:
+        raise ValueError("%s basis does not reduce the %s module" % (which, which))
+
+
+def _verdict(check, basis, module, which):
+    try:
+        check(basis, module, which)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def _same_dims(rng, m):
+    maps = tuple(
+        gen.random_matrix(rng, m.field, m.dims[i], m.dims[i - 1]) for i in range(1, m.grid_len + 1)
+    )
+    return PersistenceModule(m.field, m.dims, maps)
+
+
+def _perturbed(rng, m, bb, other_field):
+    """bb after zero to two random edits, each of which may or may not break
+    it: a zero row, a foreign invertible level, the change or the reduced
+    module of another module of the same dims, a level too many or too few, a
+    level of the wrong size (square or not), a level over another field."""
+    field = m.field
+    mats, reduced = list(bb.change.mats), bb.reduced
+    for _ in range(rng.randint(0, 2)):
+        kind = rng.randrange(7)
+        t = rng.randrange(len(mats))
+        n = mats[t].rows
+        if kind == 0 and n:
+            rows = mats[t].to_lists()
+            rows[rng.randrange(n)] = [field.zero()] * mats[t].cols
+            mats[t] = Matrix.from_rows(field, rows, cols=mats[t].cols)
+        elif kind == 1:
+            mats[t] = gen.random_invertible(rng, field, n, ops=2 * n + 1)
+        elif kind == 2:
+            mats = list(reduce_to_barcode_basis(_same_dims(rng, m)).change.mats)
+        elif kind == 3:
+            reduced = reduce_to_barcode_basis(_same_dims(rng, m)).reduced
+        elif kind == 4:
+            if len(mats) > 1 and rng.random() < 0.5:
+                mats.pop()
+            else:
+                mats.append(Matrix.identity(field, rng.randint(0, 2)))
+        elif kind == 5:
+            mats[t] = Matrix.zero(field, n, n + 1) if rng.random() < 0.5 else Matrix.identity(
+                field, n + 1)
+        elif kind == 6:
+            mats[t] = Matrix.identity(other_field, n)
+    return BarcodeBasis(BasisChange(tuple(mats)), bb.barcode, bb.generators, reduced)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_basis_check_matches_applying_the_change(field_name):
+    """_check_basis accepts exactly the bases whose change takes the module to
+    the recorded reduced module, and rejects the others with the message
+    applying the change and comparing would give."""
+    field = field_by_name(field_name)
+    other_field = field_by_name("prime 5" if field_name == "rational" else "rational")
+    rng = random.Random("basis-check/" + field_name)
+    seen = Counter()
+    for _ in range(150):
+        m = gen.random_module(rng, field)
+        basis = _perturbed(rng, m, reduce_to_barcode_basis(m), other_field)
+        which = rng.choice(["domain", "codomain"])
+        # a fresh BasisChange, so that the reference computes its own inverses
+        fresh = _with_change(basis, basis.change.mats)
+        want = _verdict(_reference_check, fresh, m, which)
+        assert _verdict(_check_basis, basis, m, which) == want
+        seen[want if want is None else want.replace("codomain", "domain")] += 1
+    assert set(seen) == {
+        None,
+        "singular matrix",
+        "not square",
+        "field mismatch",
+        "basis change does not fit module dims",
+        "domain basis does not reduce the domain module",
+    }, seen

@@ -1,6 +1,7 @@
 """Property-based tests: invariants that must hold on arbitrary inputs."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -280,3 +281,25 @@ def test_morphism_rank_oracle_at_scale(field_name):
                     ]
                 want = sum(1 for j, k in pairs if j.a <= s and t <= k.b)
                 assert _rank(x) == want, (s, t)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_summands_survive_coordinates_and_pivot_rule_at_scale(field_name):
+    """Krull-Schmidt: conjugating both ends of a morphism leaves its summand
+    multiset alone. The pivot rule leaves the matched pairs alone. Both on
+    nested-free morphisms with 32 bars per side."""
+    field = field_by_name(field_name)
+    rng = random.Random("krull-schmidt/" + field_name)
+    for _ in range(2):
+        n, l = 32, 48
+        dom = module_from_barcode(field, l, gen.sorted_pairing_bars(rng, l, n, 8))
+        cod = module_from_barcode(field, l, gen.sorted_pairing_bars(rng, l, n, 8))
+        bb_dom, bb_cod = reduce_to_barcode_basis(dom), reduce_to_barcode_basis(cod)
+        mm = gen.random_morphism_matrix(rng, bb_cod, bb_dom, field)
+        phi = from_single_matrix(mm, dom, cod, bb_dom, bb_cod)
+        conj, _, _ = gen.conjugate_morphism(rng, phi)
+        plain, first, last = decompose(phi), decompose(conj), decompose(conj, pivot_rule="last")
+        for dec in (plain, first, last):
+            assert isinstance(dec, LadderDecomposition)
+        assert Counter(first.summands()) == Counter(plain.summands())
+        assert last.pair_intervals() == first.pair_intervals()
