@@ -333,19 +333,17 @@ def _phi_at(doc, delta):
     return _lift(doc.phi(), delta - doc.delta)
 
 
-def _psi_at(doc, args, delta):
-    """The candidate inverse at the requested delta, from the inline section
-    or an --inverse file; None when neither is present."""
+def _inverse(doc, args):
+    """The candidate inverse at the declared delta, from the inline section
+    or an --inverse file (read once); None when neither is present."""
     if doc.inverse_comps:
-        base = doc.psi()
-    elif getattr(args, "inverse", None):
+        return doc.psi()
+    if getattr(args, "inverse", None):
         other = parse_morphism_text(_read(args.inverse))
         if other.dom != doc.cod or other.cod != doc.dom or other.delta != doc.delta:
-            raise ParseError(0, "--inverse file does not match the morphism's endpoints")
-        base = other.phi()
-    else:
-        return None
-    return _lift(base, delta - doc.delta)
+            raise ValueError("--inverse file does not match the morphism's endpoints")
+        return other.phi()
+    return None
 
 
 def _fmt_xi(xi):
@@ -369,7 +367,9 @@ def cmd_decompose(args):
         print("error: --delta %d is below the declared delta %d" % (delta, doc.delta), file=sys.stderr)
         return 1
     phi = _phi_at(doc, delta)
-    psi = _psi_at(doc, args, delta)
+    psi = _inverse(doc, args)
+    if psi is not None:
+        psi = _lift(psi, delta - doc.delta)
     bb_dom = reduce_to_barcode_basis(doc.dom)
     bb_cod = shift_basis(reduce_to_barcode_basis(doc.cod), delta)
 
@@ -464,15 +464,16 @@ def cmd_match(args):
 
 def cmd_verify(args):
     doc = parse_morphism_text(_read(args.file))
-    if _psi_at(doc, args, doc.delta) is None:
+    psi = _inverse(doc, args)
+    if psi is None:
         print("error: verification needs the candidate inverse", file=sys.stderr)
         return 1
 
     def certify(d):
         if d < doc.delta:
             # shapes cannot line up below the declared delta; report honestly
-            return check_interleaving(doc.phi(), _psi_at(doc, args, doc.delta), d)
-        return check_interleaving(_phi_at(doc, d), _psi_at(doc, args, d), d)
+            return check_interleaving(doc.phi(), psi, d)
+        return check_interleaving(_phi_at(doc, d), _lift(psi, d - doc.delta), d)
 
     if args.scan_delta_max is not None:
         for d in range(doc.delta, args.scan_delta_max + 1):

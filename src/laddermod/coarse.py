@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# The inverses come from BasisChange.inverses(); mat_inverse is imported for
-# the traced benchmark run (bench/workloads.py), which rebinds it in this module.
+# The split maps are row and column selections, so this module multiplies no
+# matrices; mat_inverse and mat_mul are imported for the traced benchmark run
+# (bench/workloads.py), which rebinds both in this module.
 from .fields import Matrix, is_barcode_form, mat_inverse, mat_mul
 from .ladder import decompose
 from .morphism import (
@@ -36,29 +37,6 @@ from .persistence import (
     nestedness,
     reduce_to_barcode_basis,
 )
-
-
-def _selection(field, positions, n):
-    zero, one = field.zero(), field.one()
-    rows = []
-    for p in positions:
-        row = [zero] * n
-        row[p] = one
-        rows.append(row)
-    return Matrix.from_rows(field, rows, cols=n)
-
-
-def _inclusion(field, positions, n):
-    zero, one = field.zero(), field.one()
-    k = len(positions)
-    rows = []
-    back = {p: i for i, p in enumerate(positions)}
-    for p in range(n):
-        row = [zero] * k
-        if p in back:
-            row[back[p]] = one
-        rows.append(row)
-    return Matrix.from_rows(field, rows, cols=k)
 
 
 @dataclass(frozen=True)
@@ -106,12 +84,13 @@ def _build_part(m, basis, sel_gens):
     part_basis = BarcodeBasis(
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
     )
-    g_inv = basis.change.inverses()
+    # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1
+    g, g_inv = basis.change.mats, basis.change.inverses()
     pr = LadderModule(
         m,
         part,
         tuple(
-            mat_mul(_selection(field, alive[t], m.dims[t]), basis.change.mats[t])
+            Matrix.from_rows(field, [g[t].row(p) for p in alive[t]], cols=m.dims[t])
             for t in range(l + 1)
         ),
     )
@@ -119,7 +98,9 @@ def _build_part(m, basis, sel_gens):
         part,
         m,
         tuple(
-            mat_mul(g_inv[t], _inclusion(field, alive[t], m.dims[t]))
+            Matrix.from_rows(
+                field, [[row[p] for p in alive[t]] for row in g_inv[t].to_lists()], cols=dims[t]
+            )
             for t in range(l + 1)
         ),
     )
@@ -209,34 +190,21 @@ def induce_coarse_morphism(phi, psi, delta, q, variant="both", dom_split=None, c
     if dom_split.q != q or cod_split.q != q:
         raise ValueError("splitting built for a different q")
 
-    if variant == "target":
-        phi2 = compose_ladder(cod_split.pr_long, phi)
+    coarse_dom = variant in ("source", "both")
+    coarse_cod = variant in ("target", "both")
+    phi2 = compose_ladder(phi, dom_split.inc_long) if coarse_dom else phi
+    if coarse_cod:
+        phi2 = compose_ladder(cod_split.pr_long, phi2)
         psi2 = compose_ladder(
             shift_morphism(psi, q),
             compose_ladder(
                 shift_morphism(cod_split.inc_long, q), inner_ladder(cod_split.long, q)
             ),
         )
-    elif variant == "source":
-        phi2 = compose_ladder(phi, dom_split.inc_long)
-        psi2 = compose_ladder(
-            shift_morphism(dom_split.pr_long, 2 * delta + q),
-            compose_ladder(inner_ladder(psi.cod, q), psi),
-        )
     else:
-        phi2 = compose_ladder(
-            cod_split.pr_long, compose_ladder(phi, dom_split.inc_long)
-        )
-        psi2 = compose_ladder(
-            shift_morphism(dom_split.pr_long, 2 * delta + q),
-            compose_ladder(
-                shift_morphism(psi, q),
-                compose_ladder(
-                    shift_morphism(cod_split.inc_long, q),
-                    inner_ladder(cod_split.long, q),
-                ),
-            ),
-        )
+        psi2 = compose_ladder(inner_ladder(psi.cod, q), psi)
+    if coarse_dom:
+        psi2 = compose_ladder(shift_morphism(dom_split.pr_long, 2 * delta + q), psi2)
     cert = check_delta_invertible(phi2, psi2, delta + q // 2)
     if not isinstance(cert, InterleavingCertificate):
         raise RuntimeError(str(cert))
@@ -263,15 +231,8 @@ def coarse_decompose(phi, psi, delta, q, variant="both", dom_split=None, cod_spl
     either way and the report carries the inequality status.
     """
     cm = induce_coarse_morphism(phi, psi, delta, q, variant, dom_split, cod_split)
-    if variant == "target":
-        dom_basis = cm.dom_split.source_basis
-        cod_basis = cm.cod_split.long_basis
-    elif variant == "source":
-        dom_basis = cm.dom_split.long_basis
-        cod_basis = cm.cod_split.source_basis
-    else:
-        dom_basis = cm.dom_split.long_basis
-        cod_basis = cm.cod_split.long_basis
+    dom_basis = cm.dom_split.source_basis if variant == "target" else cm.dom_split.long_basis
+    cod_basis = cm.cod_split.source_basis if variant == "source" else cm.cod_split.long_basis
     xi_dom = nestedness(dom_basis.barcode)
     xi_cod = nestedness(cod_basis.barcode)
     ok = 2 * delta + q < min(xi_dom, xi_cod)

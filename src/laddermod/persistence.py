@@ -148,8 +148,10 @@ class PersistenceModule:
         """Composite v_{s,t}: level s -> level t, s <= t."""
         if not (0 <= s <= t <= self.grid_len):
             raise ValueError("bad inner indices %d..%d" % (s, t))
-        out = Matrix.identity(self.field, self.dims[s])
-        for i in range(s + 1, t + 1):
+        if s == t:
+            return Matrix.identity(self.field, self.dims[s])
+        out = self.map_at(s + 1)
+        for i in range(s + 2, t + 1):
             out = mat_mul(self.map_at(i), out)
         return out
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import laddermod
-from laddermod import Matrix, QQ
+from laddermod import Matrix, QQ, cli
 from laddermod.cli import (
     MorphismDoc,
     ParseError,
@@ -329,3 +329,40 @@ def test_verify_without_inverse_exits_1(running, tmp_path):
     f.write_text(print_morphism(phi_only))
     code = main(["verify", str(f), "--delta", "1"])
     assert code == 1
+
+
+def _split_running(running, tmp_path):
+    phi_only = MorphismDoc(running.V, running.W, 1, running.phi.comps, ())
+    psi_only = MorphismDoc(running.W, running.V, 1, running.psi.comps, ())
+    fa = tmp_path / "phi.txt"
+    fb = tmp_path / "psi.txt"
+    fa.write_text(print_morphism(phi_only))
+    fb.write_text(print_morphism(psi_only))
+    return str(fa), str(fb)
+
+
+def test_verify_reads_inverse_file_once(running, tmp_path, monkeypatch):
+    fa, fb = _split_running(running, tmp_path)
+    reads = []
+    real_read = cli._read
+
+    def counting_read(path):
+        reads.append(path)
+        return real_read(path)
+
+    monkeypatch.setattr(cli, "_read", counting_read)
+    code, out = run_cli("verify", fa, "--inverse", fb, "--scan-delta-max", "3")
+    assert code == 0
+    assert out == "smallest certified delta: 1\n"
+    assert reads.count(fb) == 1
+    assert reads.count(fa) == 1
+
+
+def test_inverse_file_with_other_endpoints_exits_1(running, tmp_path, capsys):
+    fa, _ = _split_running(running, tmp_path)
+    # phi read as its own inverse: V -> W where W -> V is needed
+    for argv in (["verify", fa, "--inverse", fa], ["decompose", fa, "--inverse", fa]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --inverse file does not match the morphism's endpoints\n"

@@ -1,25 +1,35 @@
 """q-splittings, coarse interleavings, and grid refinement."""
 
 import math
+import random
 
 import pytest
 
+import gen
 from laddermod import (
     Barcode,
     InterleavingCertificate,
     Interval,
     LadderDecomposition,
+    Matrix,
     check_delta_invertible,
     coarse_decompose,
     coarse_interleaving,
+    compose_ladder,
+    decompose,
+    field_by_name,
     induce_coarse_morphism,
     induced_matching,
+    inner_ladder,
+    mat_inverse,
+    mat_mul,
     nestedness,
     q_split,
     reduce_to_barcode_basis,
     refine_interval,
     refine_module,
     refine_morphism,
+    shift_morphism,
     validate_ladder,
 )
 
@@ -168,3 +178,102 @@ def test_refined_odd_q_pipeline(running):
     cd = coarse_decompose(phi_r, psi_r, 2, 6, "both")
     assert isinstance(cd.result, LadderDecomposition)
     assert cd.coarse.coarse_delta == 5
+
+
+def _selection_matrix(field, positions, n):
+    # row i picks coordinate positions[i] of an n-dimensional fibre
+    return Matrix.from_rows(
+        field,
+        [[field.one() if j == p else field.zero() for j in range(n)] for p in positions],
+        cols=n,
+    )
+
+
+def _inclusion_matrix(field, positions, n):
+    # column i is the unit vector at coordinate positions[i]
+    return Matrix.from_rows(
+        field,
+        [[field.one() if j == p else field.zero() for p in positions] for j in range(n)],
+        cols=len(positions),
+    )
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_q_split_maps_match_selection_products(field_name):
+    field = field_by_name(field_name)
+    rng = random.Random("q-split-maps/" + field_name)
+    modules = []
+    for _ in range(4):
+        phi, _, _ = gen.certified_pair(rng, field=field)
+        modules += [phi.dom, phi.cod]
+    for m in modules:
+        basis = reduce_to_barcode_basis(m)
+        g_inv = [mat_inverse(g) for g in basis.change.mats]
+        for q in (0, 2, 4, 99):
+            sp = q_split(m, q, basis)
+            parts = (
+                (sp.pr_long, sp.inc_long, [g for g in basis.generators if g.bar.length >= q]),
+                (sp.pr_short, sp.inc_short, [g for g in basis.generators if g.bar.length < q]),
+            )
+            for pr, inc, gens in parts:
+                for t in range(m.grid_len + 1):
+                    alive = sorted(g.position_at(t) for g in gens if g.bar.contains_index(t))
+                    sel = _selection_matrix(field, alive, m.dims[t])
+                    assert pr.comps[t] == mat_mul(sel, basis.change.mats[t])
+                    assert inc.comps[t] == mat_mul(g_inv[t], _inclusion_matrix(field, alive, m.dims[t]))
+
+
+def _coarse_reference(phi, psi, delta, q, variant, dom_split, cod_split):
+    # the pair and bases of each variant, written out branch by branch
+    if variant == "target":
+        phi2 = compose_ladder(cod_split.pr_long, phi)
+        psi2 = compose_ladder(
+            shift_morphism(psi, q),
+            compose_ladder(
+                shift_morphism(cod_split.inc_long, q), inner_ladder(cod_split.long, q)
+            ),
+        )
+        bases = (dom_split.source_basis, cod_split.long_basis)
+    elif variant == "source":
+        phi2 = compose_ladder(phi, dom_split.inc_long)
+        psi2 = compose_ladder(
+            shift_morphism(dom_split.pr_long, 2 * delta + q),
+            compose_ladder(inner_ladder(psi.cod, q), psi),
+        )
+        bases = (dom_split.long_basis, cod_split.source_basis)
+    else:
+        phi2 = compose_ladder(cod_split.pr_long, compose_ladder(phi, dom_split.inc_long))
+        psi2 = compose_ladder(
+            shift_morphism(dom_split.pr_long, 2 * delta + q),
+            compose_ladder(
+                shift_morphism(psi, q),
+                compose_ladder(
+                    shift_morphism(cod_split.inc_long, q), inner_ladder(cod_split.long, q)
+                ),
+            ),
+        )
+        bases = (dom_split.long_basis, cod_split.long_basis)
+    cert = check_delta_invertible(phi2, psi2, delta + q // 2)
+    return phi2, psi2, cert, decompose(phi2, *bases)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_coarse_variants_match_branch_by_branch_reference(field_name):
+    field = field_by_name(field_name)
+    rng = random.Random("coarse-variants/" + field_name)
+    for k in range(12):
+        q = (2, 4)[k % 2]
+        phi, psi, delta = gen.coarse_pair(rng, q=q, field=field)
+        dom_split = q_split(phi.dom, q)
+        cod_split = q_split(phi.cod, q)
+        for variant in ("target", "source", "both"):
+            phi2, psi2, cert, dec = _coarse_reference(
+                phi, psi, delta, q, variant, dom_split, cod_split
+            )
+            cm = induce_coarse_morphism(phi, psi, delta, q, variant, dom_split, cod_split)
+            assert cm.phi.comps == phi2.comps
+            assert cm.psi.comps == psi2.comps
+            assert cm.certificate == cert
+            cd = coarse_decompose(phi, psi, delta, q, variant, dom_split, cod_split)
+            assert isinstance(cd.result, LadderDecomposition)
+            assert cd.result.summands() == dec.summands()

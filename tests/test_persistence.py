@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import gen
 from laddermod import (
     Barcode,
     BasisChange,
@@ -112,6 +113,23 @@ def test_inner_matrix_composites():
     assert m.inner_matrix(1, 4).rank() == 1
     with pytest.raises(ValueError):
         m.inner_matrix(3, 1)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_inner_matrix_equals_chain_from_identity(field_name):
+    field = field_by_name(field_name)
+    rng = random.Random("inner-matrix/" + field_name)
+    for _ in range(30):
+        m = gen.random_module(rng, field, max_len=5, max_dim=3)
+        for s in range(m.grid_len + 1):
+            want = Matrix.identity(field, m.dims[s])
+            for t in range(s, m.grid_len + 1):
+                if t > s:
+                    want = mat_mul(m.map_at(t), want)
+                got = m.inner_matrix(s, t)
+                assert (got.rows, got.cols) == (m.dims[t], m.dims[s])
+                assert got == want
+                assert all(type(x) is type(field.zero()) for x in got.data)
 
 
 def test_running_example_barcodes(running):

@@ -7,6 +7,7 @@ import os
 import laddermod
 
 SRC_DIR = os.path.dirname(laddermod.__file__)
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def test_src_has_no_assert_statements():
@@ -23,3 +24,17 @@ def test_src_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    # the traced benchmark run rebinds these names; a library change that drops
+    # one would only surface there, so check each is still defined where listed
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import trace_targets
+
+    missing = [
+        "%s.%s" % (owner.__name__, attr)
+        for owner, attr, _, _ in trace_targets()
+        if attr not in vars(owner)
+    ]
+    assert missing == []
