@@ -34,7 +34,6 @@ from .morphism import (
     validate_ladder,
 )
 from .ladder import (
-    LadderDecomposition,
     ReductionFailure,
     check_nestedness_precondition,
     decompose,

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# The split maps are row and column selections, so this module multiplies no
-# matrices; mat_inverse and mat_mul are imported for the traced benchmark run
-# (bench/workloads.py), which rebinds both in this module.
-from .fields import Matrix, is_barcode_form, mat_inverse, mat_mul
+# The split maps are row and column selections that commute by construction, so
+# no matrix is multiplied or validated here; bench/workloads.py rebinds the
+# imported mat_inverse, mat_mul and validate_ladder for its traced run.
+from .fields import Matrix, mat_inverse, mat_mul
 from .ladder import decompose
 from .morphism import (
     InterleavingCertificate,
     LadderModule,
+    _check_basis,
     check_delta_invertible,
     check_interleaving,
     compose_ladder,
@@ -34,6 +35,7 @@ from .persistence import (
     Interval,
     PersistenceModule,
     _assign_slots,
+    _barcode_module,
     nestedness,
     reduce_to_barcode_basis,
 )
@@ -62,16 +64,6 @@ def _build_part(m, basis, sel_gens):
         alive.append(ps)
     dims = tuple(len(ps) for ps in alive)
     rank = [{p: i for i, p in enumerate(ps)} for ps in alive]
-    maps = []
-    for t in range(1, l + 1):
-        red = basis.reduced.map_at(t)
-        rows = [[red.get(p, pq) for pq in alive[t - 1]] for p in alive[t]]
-        maps.append(Matrix.from_rows(field, rows, cols=dims[t - 1]))
-    part = PersistenceModule(field, dims, tuple(maps))
-    for t in range(1, l + 1):
-        ok, _ = is_barcode_form(part.map_at(t))
-        if not ok:
-            raise RuntimeError("part map %d out of barcode form" % t)
     raw = [
         {
             "bar": g.bar,
@@ -81,10 +73,12 @@ def _build_part(m, basis, sel_gens):
         for g in sel_gens
     ]
     gens = _assign_slots(raw)
+    part = _barcode_module(field, dims, gens)
     part_basis = BarcodeBasis(
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
     )
-    # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1
+    # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
+    # the generators lay out basis.reduced, so both commute with it
     g, g_inv = basis.change.mats, basis.change.inverses()
     pr = LadderModule(
         m,
@@ -104,10 +98,6 @@ def _build_part(m, basis, sel_gens):
             for t in range(l + 1)
         ),
     )
-    for lm in (pr, inc):
-        issue = validate_ladder(lm)
-        if issue is not None:
-            raise RuntimeError(issue)
     return part, part_basis, pr, inc
 
 
@@ -117,6 +107,8 @@ def q_split(m, q, basis=None):
         raise ValueError("q must be >= 0")
     if basis is None:
         basis = reduce_to_barcode_basis(m)
+    else:
+        _check_basis(basis, m, "source")
     long_gens = [g for g in basis.generators if g.bar.length >= q]
     short_gens = [g for g in basis.generators if g.bar.length < q]
     long_mod, long_basis, pr_l, inc_l = _build_part(m, basis, long_gens)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import Matrix, is_barcode_form, mat_inverse, mat_mul
+from .fields import Matrix, mat_inverse, mat_mul
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def shift(m, delta):
     maps = []
     for t in range(1, l + 1):
         s = t + delta
-        if 1 <= s <= l and 0 <= s - 1:
+        if 1 <= s <= l:
             maps.append(m.map_at(s))
         else:
             maps.append(Matrix.zero(m.field, dims[t], dims[t - 1]))
@@ -290,6 +290,28 @@ def _assign_slots(raw_gens):
     return tuple(out)
 
 
+def _barcode_module(field, dims, gens):
+    """The rigid 0/1 module the generators describe: each generator occupies
+    position_at(t) at every level t of its bar, and the map into level t sends
+    its position at t-1 to its position at t. None unless the positions fill
+    every level of dims exactly once."""
+    levels = [[] for _ in dims]
+    for g in gens:
+        if g.bar.a < 0 or g.bar.b >= len(dims):
+            return None
+        for t, p in enumerate(g.positions, g.bar.a):
+            levels[t].append(p)
+    if any(sorted(ps) != list(range(n)) for ps, n in zip(levels, dims)):
+        return None
+    zero, one = field.zero(), field.one()
+    data = [[zero] * (dims[t] * dims[t - 1]) for t in range(1, len(dims))]
+    for g in gens:
+        for t in range(g.bar.a + 1, g.bar.b + 1):
+            data[t - 1][g.position_at(t) * dims[t - 1] + g.position_at(t - 1)] = one
+    maps = tuple(Matrix(field, dims[t], dims[t - 1], data[t - 1]) for t in range(1, len(dims)))
+    return PersistenceModule(field, tuple(dims), maps)
+
+
 def reduce_to_barcode_basis(m):
     """Compute a barcode basis of m by a left-to-right sweep.
 
@@ -309,7 +331,6 @@ def reduce_to_barcode_basis(m):
     chains = [{"birth": 0, "pos": [p]} for p in range(m.dims[0])]
     # chain_at[t][p] = chain id occupying position p at level t (filled as we go)
     chain_at = [list(range(m.dims[0]))]
-    dead = []
 
     for i in range(1, l + 1):
         A = work[i]
@@ -387,14 +408,13 @@ def reduce_to_barcode_basis(m):
             if j not in pivot_cols:
                 k = chain_at[i - 1][j]
                 chains[k]["death"] = i - 1
-                dead.append(k)
         for p in range(len(pivots), rows):
             chains.append({"birth": i, "pos": [p]})
             level[p] = len(chains) - 1
         chain_at.append(level)
 
     raw = []
-    for k, ch in enumerate(chains):
+    for ch in chains:
         death = ch.get("death", l)
         raw.append({"bar": Interval(ch["birth"], death), "positions": ch["pos"]})
     gens = _assign_slots(raw)
@@ -402,15 +422,9 @@ def reduce_to_barcode_basis(m):
     change = BasisChange(
         tuple(Matrix.from_rows(field, rows, cols=n) for rows, n in zip(g, m.dims))
     )
-    reduced = PersistenceModule(
-        field,
-        m.dims,
-        tuple(Matrix.from_rows(field, work[i], cols=m.dims[i - 1]) for i in range(1, l + 1)),
-    )
-    for t in range(1, l + 1):
-        ok, _ = is_barcode_form(reduced.map_at(t))
-        if not ok:
-            raise RuntimeError("sweep left map %d out of barcode form" % t)
+    reduced = _barcode_module(field, m.dims, gens)
+    if reduced is None or any(reduced.map_at(i).to_lists() != work[i] for i in range(1, l + 1)):
+        raise RuntimeError("sweep left the module out of barcode form")
     return BarcodeBasis(change, Barcode([g_.bar for g_ in gens]), gens, reduced)
 
 
@@ -422,10 +436,9 @@ def shift_basis(bb, delta):
     """
     l = len(bb.change.mats) - 1
     field = bb.reduced.field
-    new_l = l  # grid length is unchanged by shifting
     mats = []
     dims = []
-    for t in range(new_l + 1):
+    for t in range(l + 1):
         s = t + delta
         if 0 <= s <= l:
             mats.append(bb.change.mats[s])
@@ -435,7 +448,7 @@ def shift_basis(bb, delta):
             dims.append(0)
     raw = []
     for gen in bb.generators:
-        clipped = shift_interval(gen.bar, delta, new_l)
+        clipped = shift_interval(gen.bar, delta, l)
         if clipped is None:
             continue
         positions = [
@@ -474,20 +487,10 @@ def module_from_barcode(field, grid_len, bars):
     for b in bars:
         if b.a < 0 or b.b > grid_len:
             raise ValueError("bar %s outside grid 0..%d" % (b, grid_len))
-    order = sorted(range(len(bars)), key=lambda k: (bars[k].a, k))
-    alive = []  # per level: list of bar ids by position
-    for t in range(grid_len + 1):
-        alive.append([k for k in order if bars[k].contains_index(t)])
-    dims = tuple(len(a) for a in alive)
-    maps = []
-    zero, one = field.zero(), field.one()
-    for t in range(1, grid_len + 1):
-        prev_pos = {k: p for p, k in enumerate(alive[t - 1])}
-        rows = []
-        for k in alive[t]:
-            row = [zero] * dims[t - 1]
-            if k in prev_pos:
-                row[prev_pos[k]] = one
-            rows.append(row)
-        maps.append(Matrix.from_rows(field, rows, cols=dims[t - 1]))
-    return PersistenceModule(field, dims, tuple(maps))
+    filled = [0] * (grid_len + 1)  # positions handed out so far at each level
+    gens = []
+    for b in sorted(bars, key=lambda b: b.a):
+        gens.append(BarGenerator(b, 0, tuple(filled[t] for t in range(b.a, b.b + 1))))
+        for t in range(b.a, b.b + 1):
+            filled[t] += 1
+    return _barcode_module(field, tuple(filled), gens)

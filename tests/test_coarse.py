@@ -32,6 +32,7 @@ from laddermod import (
     shift_morphism,
     validate_ladder,
 )
+from laddermod.morphism import _check_basis
 
 I = Interval
 
@@ -71,6 +72,14 @@ def test_q_split_all_long_or_all_short(running):
     sp99 = q_split(running.V, 99)
     assert sp99.long_basis.barcode == Barcode([])
     assert sp99.short_basis.barcode == running.bbV.barcode
+
+
+def test_q_split_rejects_another_modules_basis(running):
+    # a caller's basis is checked where it enters, before any split map is built
+    phi, _, _ = gen.conjugate_morphism(random.Random("q-split-foreign"), running.phi)
+    with pytest.raises(ValueError) as e:
+        q_split(phi.dom, 2, running.bbV)
+    assert str(e.value) == "source basis does not reduce the source module"
 
 
 def test_coarse_interleaving_even_q(running):
@@ -211,6 +220,12 @@ def test_q_split_maps_match_selection_products(field_name):
         g_inv = [mat_inverse(g) for g in basis.change.mats]
         for q in (0, 2, 4, 99):
             sp = q_split(m, q, basis)
+            # the split maps commute and the part bases hold by construction,
+            # and nothing in q_split checks either
+            for lm in (sp.pr_long, sp.pr_short, sp.inc_long, sp.inc_short):
+                assert validate_ladder(lm) is None
+            _check_basis(sp.long_basis, sp.long, "long")
+            _check_basis(sp.short_basis, sp.short, "short")
             parts = (
                 (sp.pr_long, sp.inc_long, [g for g in basis.generators if g.bar.length >= q]),
                 (sp.pr_short, sp.inc_short, [g for g in basis.generators if g.bar.length < q]),

@@ -1,5 +1,6 @@
 """Admissible operations, the matching-form reduction, and full decompositions."""
 
+import dataclasses
 import math
 import random
 
@@ -8,9 +9,12 @@ import pytest
 import gen
 from laddermod import (
     AdmissibleOp,
+    BarGenerator,
+    Barcode,
     BasisChange,
     Interval,
     LadderDecomposition,
+    LadderModule,
     Matrix,
     MorphismMatrix,
     QQ,
@@ -224,6 +228,31 @@ def test_verify_decomposition_detects_corruption(running):
     )
     msg = verify_decomposition(running.phi, other)
     assert msg is not None
+
+
+def test_generators_that_misstate_their_bars_are_rejected():
+    # the zero morphism [2,3] -> 3 x [5,6]; the first codomain generator claims
+    # [5,5] and the barcode follows it, so only the reduced module disagrees
+    V = module_from_barcode(QQ, 6, [I(2, 3)])
+    W = module_from_barcode(QQ, 6, [I(5, 6)] * 3)
+    phi = LadderModule(V, W, tuple(Matrix.zero(QQ, W.dims[t], V.dims[t]) for t in range(7)))
+    honest = reduce_to_barcode_basis(W)
+    g = honest.generators[0]
+    gens = (BarGenerator(I(5, 5), g.slot, g.positions[:1]),) + honest.generators[1:]
+    lying = dataclasses.replace(honest, barcode=Barcode([x.bar for x in gens]), generators=gens)
+    want = "codomain basis generators do not describe its reduced module"
+    with pytest.raises(ValueError) as e:
+        decompose(phi, cod_basis=lying)
+    assert str(e.value) == want
+    dec = decompose(phi)
+    assert verify_decomposition(phi, dec) is None
+    forged = dataclasses.replace(
+        dec,
+        cod_basis=lying,
+        minus_gens=gens,
+        matching=MorphismMatrix(gens, dec.matching.col_gens, dec.matching.entries),
+    )
+    assert verify_decomposition(phi, forged) == "reconstruction failed: " + want
 
 
 def test_nestedness_precondition_report(running, counterexample):

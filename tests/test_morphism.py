@@ -7,6 +7,8 @@ import pytest
 
 import gen
 from laddermod import (
+    BarGenerator,
+    Barcode,
     BarcodeBasis,
     BasisChange,
     Interval,
@@ -216,6 +218,14 @@ def _bad_basis(kind, basis, foreign):
     field = mats[t].field
     if kind == "another module":
         return foreign
+    if kind == "generator bar too short":
+        # the first generator that spans two levels claims one level fewer,
+        # and the barcode follows it, so only the reduced module disagrees
+        k = next(k for k, g in enumerate(basis.generators) if g.bar.length)
+        g = basis.generators[k]
+        short = BarGenerator(Interval(g.bar.a, g.bar.b - 1), g.slot, g.positions[:-1])
+        gens = basis.generators[:k] + (short,) + basis.generators[k + 1 :]
+        return BarcodeBasis(basis.change, Barcode([x.bar for x in gens]), gens, basis.reduced)
     if kind == "zero row":
         rows = mats[t].to_lists()
         rows[1] = [field.zero()] * mats[t].cols
@@ -237,6 +247,7 @@ def _bad_basis(kind, basis, foreign):
         ("zero row", "singular matrix"),
         ("foreign invertible level", "%s basis does not reduce the %s module"),
         ("wrong number of levels", "basis change does not fit module dims"),
+        ("generator bar too short", "%s basis generators do not describe its reduced module"),
     ],
 )
 def test_single_matrix_rejects_bad_bases(running, side, kind, message):
@@ -248,7 +259,7 @@ def test_single_matrix_rejects_bad_bases(running, side, kind, message):
     mm = to_single_matrix(phi, bases["domain"], bases["codomain"])
     foreign = {"domain": running.bbV, "codomain": running.bbW1}[side]
     bases[side] = _bad_basis(kind, bases[side], foreign)
-    want = message % (side, side) if "%" in message else message
+    want = message.replace("%s", side)
     with pytest.raises(ValueError) as e:
         to_single_matrix(phi, bases["domain"], bases["codomain"])
     assert str(e.value) == want

@@ -21,8 +21,12 @@ from laddermod import (
     from_single_matrix,
     module_from_barcode,
     nestedness,
+    offset_origins,
     reduce_to_barcode_basis,
     shift,
+    shift_basis,
+    to_single_matrix,
+    validate_ladder,
     verify_decomposition,
 )
 from laddermod.cli import (
@@ -32,6 +36,7 @@ from laddermod.cli import (
     print_module,
     print_morphism,
 )
+from laddermod.morphism import _check_basis
 
 F5 = field_by_name("prime 5")
 MODERATE = settings(max_examples=40, deadline=None)
@@ -303,3 +308,33 @@ def test_summands_survive_coordinates_and_pivot_rule_at_scale(field_name):
             assert isinstance(dec, LadderDecomposition)
         assert Counter(first.summands()) == Counter(plain.summands())
         assert last.pair_intervals() == first.pair_intervals()
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_library_built_bases_pass_the_entry_check(field_name):
+    """Bases the library builds are trusted downstream without a second look,
+    so each must pass the check a caller's basis gets where it enters, and a
+    single matrix over checked bases must rebuild to commuting components."""
+    field = field_by_name(field_name)
+    rng = random.Random("built-bases/" + field_name)
+    for _ in range(30):
+        m = gen.random_module(rng, field)
+        bb = reduce_to_barcode_basis(m)
+        _check_basis(bb, m, "domain")
+        _check_basis(offset_origins(bb, 2), m, "domain")
+        # every shift from off the grid below to off it above, so that bars
+        # are clipped at both ends of the grid and some leave it
+        for delta in range(-m.grid_len - 1, m.grid_len + 2):
+            _check_basis(shift_basis(bb, delta), shift(m, delta), "domain")
+    for _ in range(20):
+        lm, _, _, _ = gen.random_barcode_morphism(rng, field)
+        phi, _, _ = gen.conjugate_morphism(rng, lm)
+        bd, bc = reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)
+        for mm in (to_single_matrix(phi, bd, bc), gen.random_morphism_matrix(rng, bc, bd, field)):
+            assert validate_ladder(from_single_matrix(mm, phi.dom, phi.cod, bd, bc)) is None
+        dec = decompose(phi, bd, bc)
+        assert isinstance(dec, LadderDecomposition)
+        _check_basis(dec.dom_basis, phi.dom, "domain")
+        _check_basis(dec.cod_basis, phi.cod, "codomain")
+        rebuilt = from_single_matrix(dec.matching, phi.dom, phi.cod, dec.dom_basis, dec.cod_basis)
+        assert validate_ladder(rebuilt) is None

@@ -38,3 +38,33 @@ def test_bench_trace_targets_resolve(monkeypatch):
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_sibling_imports_are_used_or_traced(monkeypatch):
+    # a name imported from a sibling module must be used there, be re-exported
+    # through __all__, or be one the traced benchmark run rebinds there
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from workloads import trace_targets
+
+    traced = {(owner.__name__, attr) for owner, attr, _, _ in trace_targets()}
+    unused = []
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        name = os.path.basename(path)[:-3]
+        module = "laddermod" if name == "__init__" else "laddermod." + name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= set(ast.literal_eval(node.value))
+        unused += [
+            "%s:%d %s" % (os.path.basename(path), node.lineno, alias.asname or alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+            and (module, alias.asname or alias.name) not in traced
+        ]
+    assert unused == []
