@@ -4,12 +4,27 @@ Two field backends: arbitrary-precision rationals (fractions.Fraction) and a
 prime field F_p whose elements overload the usual operators, so everything
 downstream is written once against +, -, *, / and ==.
 
+The hot loops (products, elimination, the barcode sweep) run instead on raw
+rows, pairs (ints, den) of plain integers for the entries ints[k] / den. A
+field's _lift and _drop convert its elements to and from raw rows, and _norm
+makes a raw row canonical (QQ: no common factor, den > 0; F_p: residues over
+den 1). Only this module touches the representation.
+
 No floats anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import attrgetter, mul
+
+_num, _den, _res, _char = (attrgetter(a) for a in ("numerator", "denominator", "v", "p"))
+
+# A number with an exponent: Fraction expands 1e999999999 into a billion-digit
+# integer, so such tokens are refused before they reach it.
+_EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE]")
 
 
 class Fp:
@@ -127,10 +142,29 @@ class RationalField:
         return Fraction(n, d)
 
     def parse(self, text):
+        if _EXPONENT.match(text):
+            raise ValueError("exponent notation is not accepted in %r" % text)
         return Fraction(text)
 
     def fmt(self, x):
         return str(x)
+
+    def _lift(self, entries):
+        den = lcm(*map(_den, entries))
+        if den == 1:
+            return list(map(_num, entries)), 1
+        return [x.numerator * (den // x.denominator) for x in entries], den
+
+    def _norm(self, ints, den):
+        g = gcd(*ints, den) * (-1 if den < 0 else 1)
+        if g == 1:
+            return ints, den
+        return [x // g for x in ints], den // g
+
+    def _drop(self, ints, den):
+        if den == 1:
+            return [Fraction(x) for x in ints]
+        return [Fraction(x, den) for x in ints]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -160,12 +194,35 @@ class PrimeField:
 
     def parse(self, text):
         if "/" in text:
-            n, d = text.split("/")
-            return self.of(int(n), int(d))
+            parts = text.split("/")
+            if len(parts) != 2:
+                raise ValueError("%r is neither an integer nor one fraction n/d" % text)
+            return self.of(int(parts[0]), int(parts[1]))
         return Fp(int(text), self.p)
 
     def fmt(self, x):
         return str(x.v)
+
+    def _lift(self, entries):
+        try:
+            if all(map(self.p.__eq__, map(_char, entries))):
+                return list(map(_res, entries)), 1
+        except AttributeError:
+            pass
+        # as in Fp arithmetic: an int is its residue, another characteristic fails
+        zero = self.zero()
+        return [(zero + x).v for x in entries], 1
+
+    def _norm(self, ints, den):
+        p = self.p
+        if den == 1:
+            return [x % p for x in ints], 1
+        f = pow(den, -1, p)
+        return [x * f % p for x in ints], 1
+
+    def _drop(self, ints, den):
+        p = self.p
+        return [Fp(x, p) for x in (ints if den == 1 else self._norm(ints, den)[0])]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -284,25 +341,31 @@ def echelon(rows, ncols, field):
     ride along as an augmented block. Each pivot is the first nonzero entry at
     or below the current row; pivot rows are scaled to 1 and their column is
     cleared above and below. Returns the pivot columns in order.
+
+    The elimination runs on raw rows; the rows it changed are written back.
     """
-    one = field.one()
+    work = [field._lift(row) for row in rows]
+    lifted = list(work)
     pivots = []
     for j in range(ncols):
         r = len(pivots)
-        if r == len(rows):
+        if r == len(work):
             break
-        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        piv = next((i for i in range(r, len(work)) if work[i][0][j]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        f = rows[r][j]
-        if f != one:
-            rows[r] = [x / f for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                g = rows[i][j]
-                rows[i] = [x - g * y if y else x for x, y in zip(rows[i], rows[r])]
+        for lst in (work, lifted, rows):
+            lst[r], lst[piv] = lst[piv], lst[r]
+        n, d = work[r]
+        if n[j] != d:
+            work[r] = n, d = field._norm(n, n[j])
+        # entry j of the pivot row is n[j] / d = 1, so row i loses g/e times it
+        for i, (m, e) in enumerate(work):
+            g = m[j]
+            if g and i != r:
+                work[i] = field._norm([x * d - g * y for x, y in zip(m, n)], e * d)
         pivots.append(j)
+    rows[:] = [x if w is y else field._drop(*w) for x, w, y in zip(rows, work, lifted)]
     return pivots
 
 
@@ -311,18 +374,16 @@ def mat_mul(a, b):
         raise ValueError("shape mismatch %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     if a.field != b.field:
         raise ValueError("field mismatch")
-    zero = a.field.zero()
-    bcols = [b.data[j :: b.cols] for j in range(b.cols)]
-    out = []
-    for i in range(a.rows):
-        # zero terms add nothing, so only the nonzero ones are summed, in k order
-        terms = [(x, k) for k, x in enumerate(a.row(i)) if x]
-        for col in bcols:
-            s = zero
-            for x, k in terms:
-                s = s + x * col[k]
-            out.append(s)
-    return Matrix(a.field, a.rows, b.cols, out)
+    field = a.field
+    # each operand goes over one common denominator, so the product is one
+    # raw block: integer dot products over the product of the denominators
+    fa, da = field._lift(a.data)
+    fb, db = field._lift(b.data)
+    k = a.cols
+    arows = [fa[i * k : i * k + k] for i in range(a.rows)]
+    bcols = [fb[j :: b.cols] for j in range(b.cols)]
+    dots = [sum(map(mul, row, col)) for row in arows for col in bcols]
+    return Matrix(field, a.rows, b.cols, field._drop(dots, da * db))
 
 
 def mat_inverse(a):

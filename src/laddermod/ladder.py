@@ -519,6 +519,12 @@ def decompose(lm, dom_basis=None, cod_basis=None, pivot_rule="first"):
     matched, ops = red
     dom_basis = _fold_ops(dom_basis, ops, "dom")
     cod_basis = _fold_ops(cod_basis, ops, "cod")
+    return LadderDecomposition(dom_basis, cod_basis, matched, ops, *_summand_gens(matched))
+
+
+def _summand_gens(matched):
+    """(pairs, plus_gens, minus_gens) of a matching form: a (codomain, domain)
+    pair per nonzero entry, the generators of zero columns and of zero rows."""
     zero = matched.field.zero()
     pairs = []
     used_rows = set()
@@ -531,9 +537,7 @@ def decompose(lm, dom_basis=None, cod_basis=None, pivot_rule="first"):
                 used_cols.add(c)
     plus = tuple(g for c, g in enumerate(matched.col_gens) if c not in used_cols)
     minus = tuple(g for r, g in enumerate(matched.row_gens) if r not in used_rows)
-    return LadderDecomposition(
-        dom_basis, cod_basis, matched, ops, tuple(pairs), plus, minus
-    )
+    return tuple(pairs), plus, minus
 
 
 @dataclass(frozen=True)
@@ -583,6 +587,8 @@ def verify_decomposition(lm, dec):
         )
         if got != mult:
             return "codomain bar %s occurs %d times, accounted %d" % (bar, mult, got)
+    if _summand_gens(dec.matching) != (dec.pairs, dec.plus_gens, dec.minus_gens):
+        return "recorded summands differ from the ones the matched matrix gives"
     try:
         rebuilt = from_single_matrix(
             dec.matching, lm.dom, lm.cod, dec.dom_basis, dec.cod_basis

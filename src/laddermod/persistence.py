@@ -312,6 +312,19 @@ def _barcode_module(field, dims, gens):
     return PersistenceModule(field, tuple(dims), maps)
 
 
+def _axpy(field, x, fn, fd, y):
+    """Raw row x + (fn / fd) * y."""
+    (xn, xd), (yn, yd) = x, y
+    g = math.gcd(xd, fd)
+    s, t = fd // g * yd, fn * (xd // g)
+    return field._norm([a * s + t * b for a, b in zip(xn, yn)], xd * s)
+
+
+def _scaled(field, x, fn, fd):
+    """Raw row (fn / fd) * x."""
+    return field._norm([a * fn for a in x[0]], x[1] * fd)
+
+
 def reduce_to_barcode_basis(m):
     """Compute a barcode basis of m by a left-to-right sweep.
 
@@ -319,61 +332,63 @@ def reduce_to_barcode_basis(m):
     dying columns are absorbed into the continuing chains, which only rewrites
     the recorded coordinate changes at earlier indices (the already reduced
     matrices stay put).
+
+    The sweep runs on raw rows (see fields): the rows of each map and of each
+    coordinate change, and the columns of the next map, on which the inverse
+    of every row operation acts.
     """
     l = m.grid_len
     field = m.field
-    zero, one = field.zero(), field.one()
+    dims = m.dims
 
-    work = [None] + [m.map_at(i).to_lists() for i in range(1, l + 1)]
-    g = [Matrix.identity(field, n).to_lists() for n in m.dims]
+    work = [None] * (l + 1)
+    g = [[([0] * p + [1] + [0] * (n - p - 1), 1) for p in range(n)] for n in dims]
 
     # chains[k] = {"birth": int, "pos": [positions per level from birth]}
-    chains = [{"birth": 0, "pos": [p]} for p in range(m.dims[0])]
+    chains = [{"birth": 0, "pos": [p]} for p in range(dims[0])]
     # chain_at[t][p] = chain id occupying position p at level t (filled as we go)
-    chain_at = [list(range(m.dims[0]))]
+    chain_at = [list(range(dims[0]))]
 
+    def columns(t):
+        # the map out of level t (none past the last level) as raw columns,
+        # one per position at level t, over one common denominator
+        flat, den = field._lift(m.maps[t].data if t < l else ())
+        return [(flat[c::dims[t]], den) for c in range(dims[t])]
+
+    nxt = columns(0)
     for i in range(1, l + 1):
-        A = work[i]
-        rows, cols = m.dims[i], m.dims[i - 1]
-        nxt = work[i + 1] if i < l else None
+        rows, cols = dims[i], dims[i - 1]
+        gi = g[i]
+        # the rows of the map into level i, in canonical form
+        den = math.lcm(*[d for _, d in nxt])
+        A = work[i] = [field._norm([n[k] * (den // d) for n, d in nxt], den) for k in range(rows)]
+        nxt = columns(i)
 
-        def row_op(r, s, f):
-            # row_r += f * row_s on A and g[i]; inverse column op on the next map
-            A[r] = [x + f * y for x, y in zip(A[r], A[s])]
-            g[i][r] = [x + f * y for x, y in zip(g[i][r], g[i][s])]
-            if nxt is not None:
-                for rr in nxt:
-                    rr[s] = rr[s] - f * rr[r]
-
-        def row_swap(r, s):
-            A[r], A[s] = A[s], A[r]
-            g[i][r], g[i][s] = g[i][s], g[i][r]
-            if nxt is not None:
-                for rr in nxt:
-                    rr[r], rr[s] = rr[s], rr[r]
-
-        def row_scale(r, f):
-            A[r] = [f * x for x in A[r]]
-            g[i][r] = [f * x for x in g[i][r]]
-            if nxt is not None:
-                inv = one / f
-                for rr in nxt:
-                    rr[r] = rr[r] * inv
-
-        # row reduce A to reduced echelon form
+        # row reduce A to reduced echelon form; every row operation on A and
+        # g[i] is undone by the inverse column operation on the next map
         pivots = []  # (row, col)
         pr = 0
         for j in range(cols):
-            piv = next((r for r in range(pr, rows) if A[r][j] != zero), None)
+            piv = next((r for r in range(pr, rows) if A[r][0][j]), None)
             if piv is None:
                 continue
             if piv != pr:
-                row_swap(pr, piv)
-            if A[pr][j] != one:
-                row_scale(pr, one / A[pr][j])
+                for lst in (A, gi, nxt):
+                    lst[pr], lst[piv] = lst[piv], lst[pr]
+            n, d = A[pr]
+            if n[j] != d:
+                # row pr times d / n_j, column pr of the next map times n_j / d
+                A[pr] = _scaled(field, A[pr], d, n[j])
+                gi[pr] = _scaled(field, gi[pr], d, n[j])
+                nxt[pr] = _scaled(field, nxt[pr], n[j], d)
             for r in range(rows):
-                if r != pr and A[r][j] != zero:
-                    row_op(r, pr, -A[r][j])
+                n, d = A[r]
+                if r != pr and n[j]:
+                    # row r minus n_j / d times row pr, and column pr of the
+                    # next map plus n_j / d times column r
+                    A[r] = _axpy(field, A[r], -n[j], d, A[pr])
+                    gi[r] = _axpy(field, gi[r], -n[j], d, gi[pr])
+                    nxt[pr] = _axpy(field, nxt[pr], n[j], d, nxt[r])
             pivots.append((pr, j))
             pr += 1
 
@@ -384,10 +399,12 @@ def reduce_to_barcode_basis(m):
             if j in pivot_cols:
                 continue
             for r, jc in pivots:
-                beta = A[r][j]
-                if beta == zero:
+                n, d = A[r]
+                beta = n[j]
+                if not beta:
                     continue
-                A[r][j] = zero
+                n[j] = 0
+                A[r] = field._norm(n, d)
                 dying = chain_at[i - 1][j]
                 donor = chain_at[i - 1][jc]
                 birth = chains[dying]["birth"]
@@ -396,7 +413,7 @@ def reduce_to_barcode_basis(m):
                 for t in range(birth, i):
                     pc = chains[donor]["pos"][t - chains[donor]["birth"]]
                     pj = chains[dying]["pos"][t - birth]
-                    g[t][pc] = [x + beta * y for x, y in zip(g[t][pc], g[t][pj])]
+                    g[t][pc] = _axpy(field, g[t][pc], beta, d, g[t][pj])
 
         # book-keeping: continuations, deaths, births
         level = [None] * rows
@@ -420,10 +437,16 @@ def reduce_to_barcode_basis(m):
     gens = _assign_slots(raw)
 
     change = BasisChange(
-        tuple(Matrix.from_rows(field, rows, cols=n) for rows, n in zip(g, m.dims))
+        tuple(
+            Matrix.from_rows(field, [field._drop(*row) for row in rows], cols=n)
+            for rows, n in zip(g, dims)
+        )
     )
-    reduced = _barcode_module(field, m.dims, gens)
-    if reduced is None or any(reduced.map_at(i).to_lists() != work[i] for i in range(1, l + 1)):
+    reduced = _barcode_module(field, dims, gens)
+    if reduced is None or any(
+        [field._lift(reduced.maps[i - 1].row(r)) for r in range(dims[i])] != work[i]
+        for i in range(1, l + 1)
+    ):
         raise RuntimeError("sweep left the module out of barcode form")
     return BarcodeBasis(change, Barcode([g_.bar for g_ in gens]), gens, reduced)
 

@@ -63,7 +63,10 @@ def random_invertible(rng, field, n, ops=3):
             rows[i], rows[j] = rows[j], rows[i]
         else:
             c = field.of(rng.choice((-1, 2, 3)))
-            rows[i] = [c * a for a in rows[i]]
+            # 2 or 3 vanishes over F_2 or F_3; skipping it draws nothing more,
+            # so every other field sees the same matrices
+            if c:
+                rows[i] = [c * a for a in rows[i]]
     return Matrix.from_rows(field, rows, cols=n)
 
 

@@ -241,6 +241,36 @@ def test_field_order_too_large_exits_1(data_dir, tmp_path, capsys):
     assert "summands: R [0,4]->[0,4], R [1,7]->[0,5], I+ [4,4]" in out
 
 
+def _with_line(data_dir, tmp_path, name, lineno, text):
+    with open(data(data_dir, name)) as f:
+        lines = f.read().split("\n")
+    lines[lineno - 1] = text
+    path = tmp_path / ("edited-" + name)
+    path.write_text("\n".join(lines))
+    return str(path)
+
+
+def test_scalar_with_exponent_exits_1(data_dir, tmp_path, capsys):
+    # Fraction would expand an exponent into a full integer, which for a
+    # large one never finishes; small ones show the refusal
+    for tok in ("1e50", "2E3", "-1.5e-3", ".5e2"):
+        path = _with_line(data_dir, tmp_path, "V.txt", 5, tok)
+        assert main(["barcode", path]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 5: map 1: exponent notation is not accepted in '%s'\n" % tok
+    # integers, p/q and plain decimals parse as before
+    for tok in ("1", "2/4", "0.5", "-.25"):
+        code, out = run_cli("barcode", _with_line(data_dir, tmp_path, "V.txt", 5, tok))
+        assert code == 0 and out.startswith("[0,4]")
+
+
+def test_prime_field_scalar_with_two_slashes_exits_1(data_dir, tmp_path, capsys):
+    path = _with_line(data_dir, tmp_path, "mod5.txt", 5, "1/2/3")
+    assert main(["barcode", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 5: map 1: '1/2/3' is neither an integer nor one fraction n/d\n"
+
+
 def test_bad_arguments_exit_1():
     # argparse failures leave through SystemExit, remapped to status 1
     with pytest.raises(SystemExit) as exc:

@@ -292,3 +292,114 @@ def test_echelon_empty_shapes():
             mat_solve(Matrix.zero(field, 1, 0), Matrix.identity(field, 1))
         with pytest.raises(ValueError, match="full column rank"):
             mat_solve(Matrix.zero(field, 0, 2), Matrix.zero(field, 0, 1))
+
+
+def _object_echelon(rows, ncols, field):
+    """Gauss-Jordan on field objects, entry by entry: the reference the raw
+    integer kernel must reproduce exactly, entry types included."""
+    one = field.one()
+    pivots = []
+    for j in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = rows[r][j]
+        if f != one:
+            rows[r] = [x / f for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                g = rows[i][j]
+                rows[i] = [x - g * y if y else x for x, y in zip(rows[i], rows[r])]
+        pivots.append(j)
+    return pivots
+
+
+def _random_entry(rng, field):
+    if rng.random() < 0.4:
+        return field.zero()
+    return field.of(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, F5, field_by_name("prime 1000003")], ids=lambda f: f.name
+)
+def test_echelon_rows_match_object_reference(field):
+    rng = random.Random("echelon/" + field.name)
+    shapes = [(0, 0, 0), (0, 4, 3), (4, 0, 0), (3, 5, 0), (2, 3, 3)]
+    shapes += [(rng.randint(0, 9), w, rng.randint(0, w))
+               for w in (rng.randint(0, 9) for _ in range(300))]
+    for rows, width, ncols in shapes:
+        rank = rng.randint(0, min(rows, width))
+        basis = [[_random_entry(rng, field) for _ in range(width)] for _ in range(rank)]
+        data = []
+        for _ in range(rows):
+            # half the matrices are combinations of a few rows, so rank deficient
+            if basis and rng.random() < 0.5:
+                c = [field.of(rng.randint(-2, 2)) for _ in basis]
+                data.append([sum((a * b[k] for a, b in zip(c, basis)), field.zero())
+                             for k in range(width)])
+            else:
+                data.append([_random_entry(rng, field) for _ in range(width)])
+        want = [list(r) for r in data]
+        got = [list(r) for r in data]
+        assert echelon(got, ncols, field) == _object_echelon(want, ncols, field)
+        assert got == want
+        assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+def test_entries_of_another_characteristic_are_refused():
+    F7 = field_by_name("prime 7")
+    a = Matrix(F5, 2, 2, [Fp(2, 5), Fp(1, 7), Fp(1, 5), Fp(1, 5)])
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        mat_mul(a, Matrix.identity(F5, 2))
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        mat_mul(Matrix.identity(F5, 2), a)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        a.rank()
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        echelon(a.to_lists(), 2, F5)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        mat_inverse(a)
+    assert Matrix.identity(F7, 2).rank() == 2
+
+
+def test_bare_int_entries_count_as_field_elements():
+    for field in (F5, QQ):
+        of = field.of
+        loose = Matrix(field, 2, 2, [1, of(2), of(3), 4])
+        exact = Matrix.from_int_rows(field, [[1, 2], [3, 4]])
+        assert loose == exact
+        assert mat_mul(loose, loose) == mat_mul(exact, exact)
+        assert mat_mul(loose, Matrix(field, 2, 1, [2, 0])) == Matrix.from_int_rows(
+            field, [[2], [6]]
+        )
+        assert loose.rank() == exact.rank()
+        assert mat_inverse(loose) == mat_inverse(exact)
+        rows = loose.to_lists()
+        assert echelon(rows, 2, field) == [0, 1]
+        assert rows == Matrix.identity(field, 2).to_lists()
+    assert Matrix(F5, 1, 2, [1, Fp(2, 5)]).rank() == 1
+    assert mat_mul(Matrix(F5, 1, 2, [1, Fp(2, 5)]), Matrix(F5, 2, 1, [7, 1])) == Matrix(
+        F5, 1, 1, [Fp(4, 5)]
+    )
+
+
+def test_random_invertible_is_invertible_in_small_characteristic():
+    for p in (2, 3):
+        field = field_by_name("prime %d" % p)
+        rng = random.Random("invertible/%d" % p)
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            a = random_invertible(rng, field, n, ops=3 * n)
+            assert mat_mul(a, mat_inverse(a)) == Matrix.identity(field, n)
+
+
+def test_bare_int_that_vanishes_is_no_pivot():
+    # 5 is zero in F_5, though a true int
+    assert Matrix(F5, 1, 1, [5]).rank() == 0
+    assert Matrix(F5, 1, 2, [5, Fp(1, 5)]).rank() == 1
+    assert mat_mul(Matrix(F5, 1, 1, [5]), Matrix.identity(F5, 1)) == Matrix.zero(F5, 1, 1)

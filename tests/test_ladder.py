@@ -230,6 +230,28 @@ def test_verify_decomposition_detects_corruption(running):
     assert msg is not None
 
 
+def test_verify_decomposition_checks_pairs_against_the_matrix():
+    # swapping the domain ends of two matched pairs keeps the bar counts and
+    # the support rule, but not the summands the matched matrix gives
+    rng = random.Random(7)
+    while True:
+        lm, bb_dom, bb_cod, _ = gen.random_barcode_morphism(rng, QQ)
+        dec = decompose(lm, bb_dom, bb_cod)
+        if not isinstance(dec, LadderDecomposition) or len(dec.pairs) < 2:
+            continue
+        (k1, j1), (k2, j2) = dec.pairs[:2]
+        if k1.bar != k2.bar and j1.bar != j2.bar and interval_overlap(
+            k1.bar, j2.bar
+        ) and interval_overlap(k2.bar, j1.bar):
+            break
+    swapped = dataclasses.replace(dec, pairs=((k1, j2), (k2, j1)) + dec.pairs[2:])
+    assert dec.summands()[:2] == ["R [0,3]->[0,3]", "R [0,4]->[0,2]"]
+    assert swapped.summands()[:2] == ["R [0,3]->[0,2]", "R [0,4]->[0,3]"]
+    assert verify_decomposition(lm, dec) is None
+    want = "recorded summands differ from the ones the matched matrix gives"
+    assert verify_decomposition(lm, swapped) == want
+
+
 def test_generators_that_misstate_their_bars_are_rejected():
     # the zero morphism [2,3] -> 3 x [5,6]; the first codomain generator claims
     # [5,5] and the barcode follows it, so only the reduced module disagrees

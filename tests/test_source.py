@@ -68,3 +68,36 @@ def test_sibling_imports_are_used_or_traced(monkeypatch):
             and (module, alias.asname or alias.name) not in traced
         ]
     assert unused == []
+
+
+def test_only_fields_touches_raw_scalars():
+    # fields.py alone knows how a scalar is stored: other modules go through
+    # the field object and never branch on which field it is
+    raw_attrs = {"v", "numerator", "denominator"}
+    field_types = {"Fp", "PrimeField", "RationalField"}
+
+    def names(node):
+        if isinstance(node, ast.Tuple):
+            return {n for elt in node.elts for n in names(elt)}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        return {node.id} if isinstance(node, ast.Name) else set()
+
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        if os.path.basename(path) == "fields.py":
+            continue
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            what = None
+            if isinstance(node, ast.Attribute) and node.attr in raw_attrs:
+                what = "reads ." + node.attr
+            elif isinstance(node, ast.Call) and names(node.func) & {"isinstance", "Fp"}:
+                if "Fp" in names(node.func):
+                    what = "builds an Fp"
+                elif len(node.args) == 2 and names(node.args[1]) & field_types:
+                    what = "tests for a field type"
+            if what:
+                found.append("%s:%d %s" % (os.path.basename(path), node.lineno, what))
+    assert found == []
