@@ -214,9 +214,10 @@ def parse_morphism_text(text):
     line = ls.peek()
     if line is not None and line.startswith("delta "):
         ls.next("delta")
-        (delta,) = _parse_ints(ls, line, "delta") or (None,)
-        if delta is None or delta < 0:
+        vals = _parse_ints(ls, line, "delta")
+        if len(vals) != 1 or vals[0] < 0:
             raise ParseError(ls.lineno, "delta must be a single integer >= 0")
+        (delta,) = vals
     _expect(ls, "domain")
     _expect(ls, "module")
     dom = _parse_module_body(ls)

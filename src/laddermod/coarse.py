@@ -78,26 +78,17 @@ def _build_part(m, basis, sel_gens):
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
     )
     # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
-    # the generators lay out basis.reduced, so both commute with it
+    # the generators lay out basis.reduced, so both commute with it. Both are
+    # selected on raw rows (see fields).
     g, g_inv = basis.change.mats, basis.change.inverses()
-    pr = LadderModule(
-        m,
-        part,
-        tuple(
-            Matrix.from_rows(field, [g[t].row(p) for p in alive[t]], cols=m.dims[t])
-            for t in range(l + 1)
-        ),
-    )
-    inc = LadderModule(
-        part,
-        m,
-        tuple(
-            Matrix.from_rows(
-                field, [[row[p] for p in alive[t]] for row in g_inv[t].to_lists()], cols=dims[t]
-            )
-            for t in range(l + 1)
-        ),
-    )
+    pr, inc = [], []
+    for t, ps in enumerate(alive):
+        rows = g[t]._raw_rows()
+        pr.append(Matrix._from_raw_rows(field, [rows[p] for p in ps], m.dims[t]))
+        inv_rows = [([n[p] for p in ps], d) for n, d in g_inv[t]._raw_rows()]
+        inc.append(Matrix._from_raw_rows(field, inv_rows, dims[t]))
+    pr = LadderModule(m, part, tuple(pr))
+    inc = LadderModule(part, m, tuple(inc))
     return part, part_basis, pr, inc
 
 

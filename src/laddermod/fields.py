@@ -8,7 +8,16 @@ The hot loops (products, elimination, the barcode sweep) run instead on raw
 rows, pairs (ints, den) of plain integers for the entries ints[k] / den. A
 field's _lift and _drop convert its elements to and from raw rows, and _norm
 makes a raw row canonical (QQ: no common factor, den > 0; F_p: residues over
-den 1). Only this module touches the representation.
+den 1).
+
+A Matrix holds one of two forms. Built by its constructor (parsing, tests,
+callers), it holds the field elements it was given, and the kernels lift them
+again on each use. Built by a kernel (mat_mul, mat_inverse, mat_solve,
+identity, zero, or the raw rows of the sweep and the basis fold), it holds one
+canonical raw block for the whole matrix, and boxes its entries once, the
+first time they are read. Products, eliminations, equality and hashing run on
+the raw block, so a chain of kernel calls never boxes an intermediate. Only
+this module touches the representation.
 
 No floats anywhere.
 """
@@ -248,9 +257,15 @@ def field_by_name(name):
 
 
 class Matrix:
-    """Immutable dense matrix, row-major. Shapes with 0 rows or columns are fine."""
+    """Immutable dense matrix, row-major. Shapes with 0 rows or columns are fine.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    It keeps the form it was built in (see the module docstring): the field
+    elements given to the constructor, or the canonical raw block (ints, den)
+    of a kernel result, whose entries are boxed when first read. Equality and
+    hashing compare values in the field, through the raw block.
+    """
+
+    __slots__ = ("field", "rows", "cols", "_data", "_raw")
 
     def __init__(self, field, rows, cols, data):
         data = tuple(data)
@@ -259,7 +274,47 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self._data = data
+        self._raw = None
+
+    @classmethod
+    def _of_raw(cls, field, rows, cols, ints, den):
+        """Matrix of the raw block: entry k is ints[k] / den. ints is a list
+        the matrix may keep, so the caller must not change it afterwards."""
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols = field, rows, cols
+        m._data = None
+        m._raw = field._norm(ints, den)
+        return m
+
+    @classmethod
+    def _from_raw_rows(cls, field, raw_rows, cols):
+        """Matrix of a list of raw rows (ints, den), each of width cols."""
+        den = lcm(*[d for _, d in raw_rows])
+        ints = []
+        for n, d in raw_rows:
+            ints.extend(n if d == den else [x * (den // d) for x in n])
+        return cls._of_raw(field, len(raw_rows), cols, ints, den)
+
+    def _block(self):
+        """The raw block (ints, den) in canonical form, so that equal values
+        give equal blocks: a kernel's block is normed when made, and _lift
+        already gives canonical form (QQ: over the lcm of the reduced
+        denominators, which leaves no common factor; F_p: residues)."""
+        raw = self._raw
+        return raw if raw is not None else self.field._lift(self._data)
+
+    def _raw_rows(self):
+        """Fresh raw rows (ints, den), all over the block's denominator."""
+        ints, den = self._block()
+        c = self.cols
+        return [(ints[i * c : i * c + c], den) for i in range(self.rows)]
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = tuple(self.field._drop(*self._raw))
+        return self._data
 
     @classmethod
     def from_rows(cls, field, rows_of_entries, cols=None):
@@ -284,13 +339,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
+        return cls._of_raw(field, n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [z] * (rows * cols))
+        return cls._of_raw(field, rows, cols, [0] * (rows * cols), 1)
 
     def get(self, i, j):
         return self.data[i * self.cols + j]
@@ -310,12 +363,13 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
             and self.field == other.field
+            and self._block() == other._block()
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        ints, den = self._block()
+        return hash((self.rows, self.cols, tuple(ints), den))
 
     def __mul__(self, other):
         return mat_mul(self, other)
@@ -327,25 +381,21 @@ class Matrix:
         return "Matrix(%dx%d: %s)" % (self.rows, self.cols, body)
 
     def is_zero(self):
-        z = self.field.zero()
-        return all(x == z for x in self.data)
+        return not any(self._block()[0])
 
     def rank(self):
-        return len(echelon(self.to_lists(), self.cols, self.field))
+        return len(_eliminate(self._raw_rows(), self.cols, self.field))
 
 
-def echelon(rows, ncols, field):
-    """Gauss-Jordan elimination in place on a list of row lists.
+def _eliminate(work, ncols, field):
+    """Gauss-Jordan elimination in place on a list of raw rows (ints, den).
 
     Pivots are taken only in the first ncols columns, so any further columns
     ride along as an augmented block. Each pivot is the first nonzero entry at
     or below the current row; pivot rows are scaled to 1 and their column is
-    cleared above and below. Returns the pivot columns in order.
-
-    The elimination runs on raw rows; the rows it changed are written back.
+    cleared above and below. A row is replaced only when its values change.
+    Returns the pivot columns in order.
     """
-    work = [field._lift(row) for row in rows]
-    lifted = list(work)
     pivots = []
     for j in range(ncols):
         r = len(pivots)
@@ -354,8 +404,7 @@ def echelon(rows, ncols, field):
         piv = next((i for i in range(r, len(work)) if work[i][0][j]), None)
         if piv is None:
             continue
-        for lst in (work, lifted, rows):
-            lst[r], lst[piv] = lst[piv], lst[r]
+        work[r], work[piv] = work[piv], work[r]
         n, d = work[r]
         if n[j] != d:
             work[r] = n, d = field._norm(n, n[j])
@@ -365,8 +414,32 @@ def echelon(rows, ncols, field):
             if g and i != r:
                 work[i] = field._norm([x * d - g * y for x, y in zip(m, n)], e * d)
         pivots.append(j)
-    rows[:] = [x if w is y else field._drop(*w) for x, w, y in zip(rows, work, lifted)]
     return pivots
+
+
+def echelon(rows, ncols, field):
+    """Gauss-Jordan elimination in place on a list of row lists of field
+    elements, as _eliminate does on raw rows; the rows it changed are written
+    back boxed, the others stay the same objects. Returns the pivot columns."""
+    work = [field._lift(row) for row in rows]
+    # holding each lifted row keeps its id from being reused
+    kept = {id(w): (w, row) for w, row in zip(work, rows)}
+    pivots = _eliminate(work, ncols, field)
+    rows[:] = [kept[id(w)][1] if id(w) in kept else field._drop(*w) for w in work]
+    return pivots
+
+
+def _augmented(a, b):
+    """Raw rows of the block matrix [a | b], over one common denominator."""
+    fa, da = a._block()
+    fb, db = b._block()
+    den = lcm(da, db)
+    if den != da:
+        fa = [x * (den // da) for x in fa]
+    if den != db:
+        fb = [x * (den // db) for x in fb]
+    p, q = a.cols, b.cols
+    return [(fa[i * p : i * p + p] + fb[i * q : i * q + q], den) for i in range(a.rows)]
 
 
 def mat_mul(a, b):
@@ -374,27 +447,25 @@ def mat_mul(a, b):
         raise ValueError("shape mismatch %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     if a.field != b.field:
         raise ValueError("field mismatch")
-    field = a.field
-    # each operand goes over one common denominator, so the product is one
-    # raw block: integer dot products over the product of the denominators
-    fa, da = field._lift(a.data)
-    fb, db = field._lift(b.data)
+    # each operand is one raw block over a common denominator, so the product
+    # is one too: integer dot products over the product of the denominators
+    fa, da = a._block()
+    fb, db = b._block()
     k = a.cols
     arows = [fa[i * k : i * k + k] for i in range(a.rows)]
     bcols = [fb[j :: b.cols] for j in range(b.cols)]
     dots = [sum(map(mul, row, col)) for row in arows for col in bcols]
-    return Matrix(field, a.rows, b.cols, field._drop(dots, da * db))
+    return Matrix._of_raw(a.field, a.rows, b.cols, dots, da * db)
 
 
 def mat_inverse(a):
     if a.rows != a.cols:
         raise ValueError("not square")
     n = a.rows
-    unit = Matrix.identity(a.field, n).to_lists()
-    work = [row + e for row, e in zip(a.to_lists(), unit)]
-    if len(echelon(work, n, a.field)) < n:
+    work = _augmented(a, Matrix.identity(a.field, n))
+    if len(_eliminate(work, n, a.field)) < n:
         raise ValueError("singular matrix")
-    return Matrix.from_rows(a.field, [row[n:] for row in work], cols=n)
+    return Matrix._from_raw_rows(a.field, [(m[n:], d) for m, d in work], n)
 
 
 def mat_solve(a, b):
@@ -406,14 +477,13 @@ def mat_solve(a, b):
         raise ValueError("row count mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    zero = a.field.zero()
-    work = [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
+    work = _augmented(a, b)
     n = a.cols
-    if len(echelon(work, n, a.field)) < n:
+    if len(_eliminate(work, n, a.field)) < n:
         raise ValueError("matrix does not have full column rank")
-    if any(x != zero for row in work[n:] for x in row[n:]):
+    if any(x for m, _ in work[n:] for x in m[n:]):
         raise ValueError("inconsistent system")
-    return Matrix.from_rows(a.field, [row[n:] for row in work[:n]], cols=b.cols)
+    return Matrix._from_raw_rows(a.field, [(m[n:], d) for m, d in work[:n]], b.cols)
 
 
 def is_barcode_form(a):

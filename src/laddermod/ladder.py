@@ -25,6 +25,8 @@ from .morphism import MorphismMatrix, from_single_matrix, to_single_matrix
 from .persistence import (
     BarcodeBasis,
     BasisChange,
+    _axpy,
+    _scaled,
     interval_lex_key,
     interval_overlap,
     nestedness,
@@ -439,32 +441,34 @@ def _fold_ops(basis, ops, side):
     """Fold the ops of one side into the recorded coordinate change of that
     endpoint: column ops rewrite the domain basis ("dom"), row ops the
     codomain basis ("cod"). The generators are the basis's own, the ones
-    indexing the single matrix the ops acted on."""
+    indexing the single matrix the ops acted on. The rows of each level are
+    rewritten as raw rows (see fields), the scalar n / d of an op lifted to
+    ([n], d)."""
     ops = [op for op in ops if op.kind in _SIDE_KINDS[side]]
     if not ops:
         return basis
     field = basis.reduced.field
     gens = basis.generators
-    mats = [g.to_lists() for g in basis.change.mats]
+    mats = [g._raw_rows() for g in basis.change.mats]
     for op in ops:
+        (n,), d = field._lift([op.scalar])
         if op.kind in ("scale-col", "scale-row"):
             gen = gens[op.target]
-            f = field.one() / op.scalar if side == "dom" else op.scalar
+            f = (d, n) if side == "dom" else (n, d)
             for t in range(gen.bar.a, gen.bar.b + 1):
                 p = gen.position_at(t)
-                mats[t][p] = [f * x for x in mats[t][p]]
+                mats[t][p] = _scaled(field, mats[t][p], *f)
             continue
-        s = op.scalar
         tgt, src = gens[op.target], gens[op.source]
         for t in range(max(tgt.bar.a, src.bar.a), min(tgt.bar.b, src.bar.b) + 1):
             ps, pt = src.position_at(t), tgt.position_at(t)
             if side == "dom":
-                mats[t][ps] = [x - s * y if y else x for x, y in zip(mats[t][ps], mats[t][pt])]
+                mats[t][ps] = _axpy(field, mats[t][ps], -n, d, mats[t][pt])
             else:
-                mats[t][pt] = [x + s * y if y else x for x, y in zip(mats[t][pt], mats[t][ps])]
+                mats[t][pt] = _axpy(field, mats[t][pt], n, d, mats[t][ps])
     change = BasisChange(
         tuple(
-            Matrix.from_rows(field, rows, cols=basis.reduced.dims[t])
+            Matrix._from_raw_rows(field, rows, basis.reduced.dims[t])
             for t, rows in enumerate(mats)
         )
     )

@@ -162,17 +162,28 @@ class MorphismMatrix:
         return "\n".join(lines)
 
 
-def _check_basis(basis, module, which):
+def _check_basis(basis, module, which, inverses=True):
     """Raise ValueError unless basis.change takes module to basis.reduced,
     that is g_t A_t g_{t-1}^{-1} == R_t at every t. Once every g_t is known
     to be invertible this is g_t A_t == R_t g_{t-1}, which needs no product
     with an inverse. The checks and messages are those of applying the change
     with BasisChange.apply and comparing, in the same order. A last check
-    proves that the generators list basis.barcode and lay out basis.reduced."""
+    proves that the generators list basis.barcode and lay out basis.reduced.
+
+    With inverses true, invertibility is proven by computing the inverses,
+    which the object keeps for the caller; otherwise by the rank of each g_t
+    alone, half the elimination."""
     g, red = basis.change.mats, basis.reduced
     if tuple(x.rows for x in g) != module.dims:
         raise ValueError("basis change does not fit module dims")
-    basis.change.inverses()  # "not square" or "singular matrix"; kept for the callers
+    if inverses:
+        basis.change.inverses()
+    else:
+        for x in g:
+            if x.rows != x.cols:
+                raise ValueError("not square")
+            if x.rank() < x.rows:
+                raise ValueError("singular matrix")
     if module.grid_len and any(x.field != module.field for x in g):
         raise ValueError("field mismatch")
     if red.field != module.field or red.dims != module.dims or any(
@@ -188,8 +199,8 @@ def _check_basis(basis, module, which):
 
 def to_single_matrix(lm, dom_basis, cod_basis):
     """Express a morphism as its single matrix over the given barcode bases."""
-    _check_basis(dom_basis, lm.dom, "domain")
-    _check_basis(cod_basis, lm.cod, "codomain")
+    _check_basis(dom_basis, lm.dom, "domain", inverses=True)
+    _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
     g_inv = dom_basis.change.inverses()
     P = [
         mat_mul(mat_mul(cod_basis.change.mats[t], lm.comps[t]), g_inv[t])
@@ -231,8 +242,8 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     once K lives at t and J at t-1: a nonzero M(K, J) has
     K.a <= J.a <= K.b <= J.b (MorphismMatrix checks it), so K lives at t-1
     and J at t as well."""
-    _check_basis(dom_basis, dom, "domain")
-    _check_basis(cod_basis, cod, "codomain")
+    _check_basis(dom_basis, dom, "domain", inverses=False)
+    _check_basis(cod_basis, cod, "codomain", inverses=True)
     if tuple(g.bar for g in mm.col_gens) != tuple(g.bar for g in dom_basis.generators):
         raise ValueError("column generators do not match the domain basis")
     if tuple(g.bar for g in mm.row_gens) != tuple(g.bar for g in cod_basis.generators):

@@ -303,12 +303,13 @@ def _barcode_module(field, dims, gens):
             levels[t].append(p)
     if any(sorted(ps) != list(range(n)) for ps, n in zip(levels, dims)):
         return None
-    zero, one = field.zero(), field.one()
-    data = [[zero] * (dims[t] * dims[t - 1]) for t in range(1, len(dims))]
+    data = [[0] * (dims[t] * dims[t - 1]) for t in range(1, len(dims))]
     for g in gens:
         for t in range(g.bar.a + 1, g.bar.b + 1):
-            data[t - 1][g.position_at(t) * dims[t - 1] + g.position_at(t - 1)] = one
-    maps = tuple(Matrix(field, dims[t], dims[t - 1], data[t - 1]) for t in range(1, len(dims)))
+            data[t - 1][g.position_at(t) * dims[t - 1] + g.position_at(t - 1)] = 1
+    maps = tuple(
+        Matrix._of_raw(field, dims[t], dims[t - 1], data[t - 1], 1) for t in range(1, len(dims))
+    )
     return PersistenceModule(field, tuple(dims), maps)
 
 
@@ -352,7 +353,7 @@ def reduce_to_barcode_basis(m):
     def columns(t):
         # the map out of level t (none past the last level) as raw columns,
         # one per position at level t, over one common denominator
-        flat, den = field._lift(m.maps[t].data if t < l else ())
+        flat, den = m.maps[t]._block() if t < l else ([], 1)
         return [(flat[c::dims[t]], den) for c in range(dims[t])]
 
     nxt = columns(0)
@@ -436,15 +437,10 @@ def reduce_to_barcode_basis(m):
         raw.append({"bar": Interval(ch["birth"], death), "positions": ch["pos"]})
     gens = _assign_slots(raw)
 
-    change = BasisChange(
-        tuple(
-            Matrix.from_rows(field, [field._drop(*row) for row in rows], cols=n)
-            for rows, n in zip(g, dims)
-        )
-    )
+    change = BasisChange(tuple(Matrix._from_raw_rows(field, rows, n) for rows, n in zip(g, dims)))
     reduced = _barcode_module(field, dims, gens)
     if reduced is None or any(
-        [field._lift(reduced.maps[i - 1].row(r)) for r in range(dims[i])] != work[i]
+        reduced.maps[i - 1]._raw_rows() != work[i]
         for i in range(1, l + 1)
     ):
         raise RuntimeError("sweep left the module out of barcode form")

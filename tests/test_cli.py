@@ -271,6 +271,17 @@ def test_prime_field_scalar_with_two_slashes_exits_1(data_dir, tmp_path, capsys)
     assert err == "error: line 5: map 1: '1/2/3' is neither an integer nor one fraction n/d\n"
 
 
+def test_delta_with_two_values_exits_1(data_dir, tmp_path, capsys):
+    for text in ("delta 1 2", "delta -1", "delta x"):
+        path = _with_line(data_dir, tmp_path, "run.txt", 2, text)
+        assert main(["decompose", path]) == 1
+        err = capsys.readouterr().err
+        if text == "delta x":
+            assert err == "error: line 2: bad integer list in 'delta x'\n"
+        else:
+            assert err == "error: line 2: delta must be a single integer >= 0\n"
+
+
 def test_bad_arguments_exit_1():
     # argparse failures leave through SystemExit, remapped to status 1
     with pytest.raises(SystemExit) as exc:

@@ -364,6 +364,8 @@ def test_entries_of_another_characteristic_are_refused():
         echelon(a.to_lists(), 2, F5)
     with pytest.raises(ValueError, match="mixed characteristics"):
         mat_inverse(a)
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        a == Matrix.identity(F5, 2)
     assert Matrix.identity(F7, 2).rank() == 2
 
 
@@ -403,3 +405,55 @@ def test_bare_int_that_vanishes_is_no_pivot():
     assert Matrix(F5, 1, 1, [5]).rank() == 0
     assert Matrix(F5, 1, 2, [5, Fp(1, 5)]).rank() == 1
     assert mat_mul(Matrix(F5, 1, 1, [5]), Matrix.identity(F5, 1)) == Matrix.zero(F5, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, F5, field_by_name("prime 1000003")], ids=lambda f: f.name
+)
+def test_entries_and_kernel_results_are_one_matrix(field):
+    # a matrix built from entries and the same values out of a kernel compare,
+    # hash and print alike, and read as field elements entry by entry
+    rng = random.Random("two-forms/" + field.name)
+    kind = type(field.zero())
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)]
+    shapes += [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(60)]
+    for rows, cols in shapes:
+        a = Matrix.from_rows(
+            field, [[_random_entry(rng, field) for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+        kernel = [mat_mul(a, Matrix.identity(field, cols)), mat_mul(Matrix.identity(field, rows), a)]
+        if rows == cols and a.rank() == rows:
+            kernel.append(mat_inverse(mat_inverse(a)))
+        if a.rank() == cols:
+            kernel.append(mat_mul(a, mat_solve(a, a)))
+        for k in kernel:
+            assert k == a and a == k and not k != a
+            assert hash(k) == hash(a)
+            assert [k.get(i, j) for i in range(rows) for j in range(cols)] == list(a.data)
+            assert {type(k.get(i, j)) for i in range(rows) for j in range(cols)} <= {kind}
+            assert repr(k) == repr(a)
+            assert k.data == a.data and k.to_lists() == a.to_lists()
+            assert all(type(x) is kind for x in k.data)
+            assert [k.col(j) for j in range(cols)] == [a.col(j) for j in range(cols)]
+        if rows and cols:
+            i, j = rng.randrange(rows), rng.randrange(cols)
+            other = a.to_lists()
+            other[i][j] = other[i][j] + field.one()
+            b = Matrix.from_rows(field, other, cols=cols)
+            assert all(k != b and b != k for k in kernel)
+    z, e = Matrix.zero(field, 2, 3), Matrix.identity(field, 2)
+    assert z == Matrix.from_rows(field, [[field.zero()] * 3] * 2) and z.is_zero()
+    assert e == Matrix.from_rows(field, [[field.one(), field.zero()], [field.zero(), field.one()]])
+    assert all(type(x) is kind for x in z.data + e.data)
+    assert Matrix.zero(field, 2, 3) != Matrix.zero(field, 3, 2)
+    assert Matrix.zero(field, 0, 2) != Matrix.zero(field, 0, 3)
+
+
+def test_matrices_compare_values_in_the_field():
+    # a bare int is read as its residue, as Fp(3, 5) + 6 == Fp(4, 5) does
+    assert Matrix(F5, 1, 1, [6]) == Matrix(F5, 1, 1, [Fp(1, 5)])
+    assert hash(Matrix(F5, 1, 1, [6])) == hash(Matrix(F5, 1, 1, [Fp(1, 5)]))
+    assert Matrix(QQ, 1, 2, [1, Fraction(1, 2)]) == Matrix(QQ, 1, 2, [Fraction(2, 2), Fraction(2, 4)])
+    assert Matrix(F5, 1, 1, [Fp(1, 5)]) != Matrix(field_by_name("prime 7"), 1, 1, [Fp(1, 7)])
+    assert Matrix(QQ, 1, 1, [1]) != Matrix(F5, 1, 1, [Fp(1, 5)])

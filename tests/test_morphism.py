@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -34,6 +35,7 @@ from laddermod import (
     to_single_matrix,
     validate_ladder,
 )
+from laddermod import persistence
 from laddermod.morphism import _check_basis
 
 I = Interval
@@ -348,3 +350,27 @@ def test_basis_check_matches_applying_the_change(field_name):
         "basis change does not fit module dims",
         "domain basis does not reduce the domain module",
     }, seen
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_rank_proven_basis_check_matches_applying_the_change(field_name, monkeypatch):
+    """The side whose inverses the caller never reads is proven invertible by
+    rank alone: same verdicts and messages as applying the change, and no
+    inverse computed."""
+    field = field_by_name(field_name)
+    other_field = field_by_name("prime 5" if field_name == "rational" else "rational")
+    rng = random.Random("basis-check/" + field_name)
+    cases = []
+    for _ in range(150):
+        m = gen.random_module(rng, field)
+        basis = _perturbed(rng, m, reduce_to_barcode_basis(m), other_field)
+        cases.append((m, basis, rng.choice(["domain", "codomain"])))
+    wants = [_verdict(_reference_check, _with_change(b, b.change.mats), m, w) for m, b, w in cases]
+    inverted = []
+    monkeypatch.setattr(persistence, "mat_inverse", inverted.append)
+    for (m, basis, which), want in zip(cases, wants):
+        fresh = _with_change(basis, basis.change.mats)
+        assert _verdict(partial(_check_basis, inverses=False), fresh, m, which) == want
+    assert inverted == []
+    assert {w if w is None else w.replace("codomain", "domain") for w in wants} >= {
+        None, "singular matrix", "not square", "field mismatch"}

@@ -75,6 +75,9 @@ def test_only_fields_touches_raw_scalars():
     # the field object and never branch on which field it is
     raw_attrs = {"v", "numerator", "denominator"}
     field_types = {"Fp", "PrimeField", "RationalField"}
+    # nor how a Matrix stores its entries: every slot but the public shape and field
+    storage = set(laddermod.Matrix.__slots__) - {"field", "rows", "cols"}
+    assert storage
 
     def names(node):
         if isinstance(node, ast.Tuple):
@@ -93,6 +96,10 @@ def test_only_fields_touches_raw_scalars():
             what = None
             if isinstance(node, ast.Attribute) and node.attr in raw_attrs:
                 what = "reads ." + node.attr
+            elif isinstance(node, ast.Attribute) and node.attr in storage:
+                what = "touches Matrix.%s" % node.attr
+            elif isinstance(node, ast.Constant) and node.value in storage:
+                what = "names Matrix.%s" % node.value
             elif isinstance(node, ast.Call) and names(node.func) & {"isinstance", "Fp"}:
                 if "Fp" in names(node.func):
                     what = "builds an Fp"
