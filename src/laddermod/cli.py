@@ -40,7 +40,7 @@ from .ladder import (
     search_matching_form,
 )
 from .coarse import coarse_decompose, q_split
-from .matching import bl_matching, induced_matching, matching_cost
+from .matching import _account_for, bl_matching, induced_matching, matching_cost
 
 
 # Largest accepted sum of squared fibre dimensions in a module file. Barcode
@@ -442,7 +442,8 @@ def cmd_match(args):
         )
 
     def bl_pm():
-        return bl_matching(phi, bb_dom, bb_cod)
+        # the shift drops the bars of W that die before delta; list them too
+        return _account_for(bl_matching(phi, bb_dom, bb_cod), bb_cod_plain.barcode, "target")
 
     if args.compare:
         lad = ladder_pm()

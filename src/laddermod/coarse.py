@@ -78,17 +78,10 @@ def _build_part(m, basis, sel_gens):
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
     )
     # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
-    # the generators lay out basis.reduced, so both commute with it. Both are
-    # selected on raw rows (see fields).
+    # the generators lay out basis.reduced, so both commute with it
     g, g_inv = basis.change.mats, basis.change.inverses()
-    pr, inc = [], []
-    for t, ps in enumerate(alive):
-        rows = g[t]._raw_rows()
-        pr.append(Matrix._from_raw_rows(field, [rows[p] for p in ps], m.dims[t]))
-        inv_rows = [([n[p] for p in ps], d) for n, d in g_inv[t]._raw_rows()]
-        inc.append(Matrix._from_raw_rows(field, inv_rows, dims[t]))
-    pr = LadderModule(m, part, tuple(pr))
-    inc = LadderModule(part, m, tuple(inc))
+    pr = LadderModule(m, part, tuple(x._select(rows=ps) for x, ps in zip(g, alive)))
+    inc = LadderModule(part, m, tuple(x._select(cols=ps) for x, ps in zip(g_inv, alive)))
     return part, part_basis, pr, inc
 
 

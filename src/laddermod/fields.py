@@ -8,16 +8,19 @@ The hot loops (products, elimination, the barcode sweep) run instead on raw
 rows, pairs (ints, den) of plain integers for the entries ints[k] / den. A
 field's _lift and _drop convert its elements to and from raw rows, and _norm
 makes a raw row canonical (QQ: no common factor, den > 0; F_p: residues over
-den 1).
+den 1). The row ops live here too: _axpy and _scaled for the barcode sweep
+and the basis fold, and _eliminate, the one Gauss-Jordan loop.
 
 A Matrix holds one of two forms. Built by its constructor (parsing, tests,
 callers), it holds the field elements it was given, and the kernels lift them
 again on each use. Built by a kernel (mat_mul, mat_inverse, mat_solve,
-identity, zero, or the raw rows of the sweep and the basis fold), it holds one
-canonical raw block for the whole matrix, and boxes its entries once, the
-first time they are read. Products, eliminations, equality and hashing run on
-the raw block, so a chain of kernel calls never boxes an intermediate. Only
-this module touches the representation.
+identity, zero, _select, or the raw rows of the sweep and the basis fold), it
+holds one canonical raw block for the whole matrix, and boxes its entries
+once, the first time they are read. Products, eliminations, submatrix picks
+(_select), pivot columns (_pivots), equality and hashing run on the raw block,
+so a chain of kernel calls never boxes an intermediate. Only this module
+touches the representation; outside it, only the barcode sweep and the
+basis fold use the raw-row interface.
 
 No floats anywhere.
 """
@@ -138,6 +141,12 @@ def _is_prime(n):
     return True
 
 
+def _not_an_element(field, entries, types):
+    """The error for the first entry that is none of types."""
+    bad = next(x for x in entries if not isinstance(x, types))
+    return ValueError("%r is not an element of %s" % (bad, field.name))
+
+
 class RationalField:
     name = "rational"
 
@@ -159,10 +168,13 @@ class RationalField:
         return str(x)
 
     def _lift(self, entries):
-        den = lcm(*map(_den, entries))
-        if den == 1:
-            return list(map(_num, entries)), 1
-        return [x.numerator * (den // x.denominator) for x in entries], den
+        try:
+            den = lcm(*map(_den, entries))
+            if den == 1:
+                return list(map(_num, entries)), 1
+            return [x.numerator * (den // x.denominator) for x in entries], den
+        except (AttributeError, TypeError):
+            raise _not_an_element(self, entries, (int, Fraction)) from None
 
     def _norm(self, ints, den):
         g = gcd(*ints, den) * (-1 if den < 0 else 1)
@@ -220,7 +232,10 @@ class PrimeField:
             pass
         # as in Fp arithmetic: an int is its residue, another characteristic fails
         zero = self.zero()
-        return [(zero + x).v for x in entries], 1
+        try:
+            return [(zero + x).v for x in entries], 1
+        except (AttributeError, TypeError):
+            raise _not_an_element(self, entries, (int, Fp)) from None
 
     def _norm(self, ints, den):
         p = self.p
@@ -384,7 +399,34 @@ class Matrix:
         return not any(self._block()[0])
 
     def rank(self):
-        return len(_eliminate(self._raw_rows(), self.cols, self.field))
+        return len(self._pivots())
+
+    def _pivots(self):
+        """Pivot columns of the reduced row echelon form."""
+        return _eliminate(self._raw_rows(), self.cols, self.field)
+
+    def _select(self, rows=None, cols=None):
+        """Submatrix of the given rows and columns (all when None), in the
+        order given, picked from the raw block without boxing an entry."""
+        ints, den = self._block()
+        c = self.cols
+        rows = range(self.rows) if rows is None else rows
+        cols = range(c) if cols is None else cols
+        picked = [ints[i * c + j] for i in rows for j in cols]
+        return Matrix._of_raw(self.field, len(rows), len(cols), picked, den)
+
+
+def _axpy(field, x, fn, fd, y):
+    """Raw row x + (fn / fd) * y."""
+    (xn, xd), (yn, yd) = x, y
+    g = gcd(xd, fd)
+    s, t = fd // g * yd, fn * (xd // g)
+    return field._norm([a * s + t * b for a, b in zip(xn, yn)], xd * s)
+
+
+def _scaled(field, x, fn, fd):
+    """Raw row (fn / fd) * x."""
+    return field._norm([a * fn for a in x[0]], x[1] * fd)
 
 
 def _eliminate(work, ncols, field):
@@ -414,18 +456,6 @@ def _eliminate(work, ncols, field):
             if g and i != r:
                 work[i] = field._norm([x * d - g * y for x, y in zip(m, n)], e * d)
         pivots.append(j)
-    return pivots
-
-
-def echelon(rows, ncols, field):
-    """Gauss-Jordan elimination in place on a list of row lists of field
-    elements, as _eliminate does on raw rows; the rows it changed are written
-    back boxed, the others stay the same objects. Returns the pivot columns."""
-    work = [field._lift(row) for row in rows]
-    # holding each lifted row keeps its id from being reused
-    kept = {id(w): (w, row) for w, row in zip(work, rows)}
-    pivots = _eliminate(work, ncols, field)
-    rows[:] = [kept[id(w)][1] if id(w) in kept else field._drop(*w) for w in work]
     return pivots
 
 

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Matrix
-from .morphism import MorphismMatrix, from_single_matrix, to_single_matrix
+from .fields import Matrix, _axpy, _scaled
+from .morphism import MorphismMatrix, _support, from_single_matrix, to_single_matrix
 from .persistence import (
     BarcodeBasis,
     BasisChange,
-    _axpy,
-    _scaled,
     interval_lex_key,
     interval_overlap,
     nestedness,
@@ -55,12 +53,6 @@ class AdmissibleOp:
         return "%s: row %s += %s * row %s" % (
             self.kind, mm.row_gens[self.target].bar,
             mm.field.fmt(self.scalar), mm.row_gens[self.source].bar)
-
-
-def _support(row_gens, col_gens):
-    """ok[r][c] is True when entry (r, c) may be nonzero: the row bar
-    overlap-precedes the column bar."""
-    return [[interval_overlap(rg.bar, cg.bar) for cg in col_gens] for rg in row_gens]
 
 
 def _apply(rows, ok, row_gens, col_gens, op):
@@ -136,20 +128,25 @@ def apply_ops(mm, ops):
     return _rebuilt(mm, rows)
 
 
+def _pattern(rows):
+    """(r, c) of every nonzero entry, in row order, or None when a row or a
+    column holds two."""
+    pattern, cols = [], set()
+    for r, row in enumerate(rows):
+        nz = [c for c, x in enumerate(row) if x]
+        if len(nz) > 1 or nz and nz[0] in cols:
+            return None
+        cols.update(nz)
+        pattern += [(r, c) for c in nz]
+    return pattern
+
+
 def is_matching_form(mm):
-    zero = mm.field.zero()
+    """At most one nonzero entry per row and per column, and each such entry is one."""
+    rows = mm.entries.to_lists()
+    pattern = _pattern(rows)
     one = mm.field.one()
-    ncols = len(mm.col_gens)
-    col_seen = [False] * ncols
-    for r in range(len(mm.row_gens)):
-        row_nz = [c for c in range(ncols) if mm.entry(r, c) != zero]
-        if len(row_nz) > 1:
-            return False
-        for c in row_nz:
-            if mm.entry(r, c) != one or col_seen[c]:
-                return False
-            col_seen[c] = True
-    return True
+    return pattern is not None and all(rows[r][c] == one for r, c in pattern)
 
 
 @dataclass(frozen=True)
@@ -344,18 +341,6 @@ def search_matching_form(mm, max_states=200000):
     def measure(state):
         return sum(w for wrow, row in zip(weight, state) for w, x in zip(wrow, row) if x)
 
-    def is_pattern_matched(state):
-        col_hit = [0] * ncols
-        for row in state:
-            nz = [c for c, x in enumerate(row) if x]
-            if len(nz) > 1:
-                return False
-            for c in nz:
-                col_hit[c] += 1
-                if col_hit[c] > 1:
-                    return False
-        return True
-
     def successors(state):
         m0 = measure(state)
         out = []
@@ -408,7 +393,7 @@ def search_matching_form(mm, max_states=200000):
             continue
         seen.add(state)
         states += 1
-        if is_pattern_matched(state):
+        if _pattern(state) is not None:
             found = state
             break
         if states >= max_states:
@@ -421,8 +406,8 @@ def search_matching_form(mm, max_states=200000):
     # normalize the matched pattern to honest 1s by column scalings
     one = mm.field.one()
     rows = [list(row) for row in found]
-    for c in range(ncols):
-        v = next((row[c] for row in rows if row[c]), one)
+    for r, c in _pattern(found):
+        v = rows[r][c]
         if v != one:
             _apply(rows, ok, mm.row_gens, mm.col_gens, AdmissibleOp("scale-col", c, c, one / v))
     out = _rebuilt(mm, rows)
@@ -529,19 +514,13 @@ def decompose(lm, dom_basis=None, cod_basis=None, pivot_rule="first"):
 def _summand_gens(matched):
     """(pairs, plus_gens, minus_gens) of a matching form: a (codomain, domain)
     pair per nonzero entry, the generators of zero columns and of zero rows."""
-    zero = matched.field.zero()
-    pairs = []
-    used_rows = set()
-    used_cols = set()
-    for r, rg in enumerate(matched.row_gens):
-        for c, cg in enumerate(matched.col_gens):
-            if matched.entry(r, c) != zero:
-                pairs.append((rg, cg))
-                used_rows.add(r)
-                used_cols.add(c)
+    pattern = _pattern(matched.entries.to_lists())
+    used_rows = {r for r, _ in pattern}
+    used_cols = {c for _, c in pattern}
+    pairs = tuple((matched.row_gens[r], matched.col_gens[c]) for r, c in pattern)
     plus = tuple(g for c, g in enumerate(matched.col_gens) if c not in used_cols)
     minus = tuple(g for r, g in enumerate(matched.row_gens) if r not in used_rows)
-    return tuple(pairs), plus, minus
+    return pairs, plus, minus
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@ exact bottleneck-distance oracle for desk-scale barcodes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fields import Matrix, echelon, mat_mul, mat_solve
+from .fields import Matrix, mat_mul, mat_solve
 from .persistence import (
     Barcode,
     PersistenceModule,
@@ -105,27 +105,28 @@ def induced_matching(dec, dom_barcode=None, cod_barcode=None, coords="origin"):
     pair_list = [(lab(dg), lab(cg)) for cg, dg in dec.pairs]
     un_src = [lab(g) for g in dec.plus_gens]
     un_tgt = [lab(g) for g in dec.minus_gens]
+    pm = PartialMatching.build(pair_list, un_src, un_tgt)
     if dom_barcode is not None:
-        have = sorted(
-            [p[0] for p in pair_list] + un_src, key=interval_lex_key
-        )
-        rest = list(dom_barcode.bars)
-        for bar in have:
-            if bar not in rest:
-                raise ValueError("domain bar %s not present in the supplied barcode" % bar)
-            rest.remove(bar)
-        un_src.extend(rest)
+        pm = _account_for(pm, dom_barcode, "source")
     if cod_barcode is not None:
-        have = sorted(
-            [p[1] for p in pair_list] + un_tgt, key=interval_lex_key
-        )
-        rest = list(cod_barcode.bars)
-        for bar in have:
-            if bar not in rest:
-                raise ValueError("codomain bar %s not present in the supplied barcode" % bar)
-            rest.remove(bar)
-        un_tgt.extend(rest)
-    return PartialMatching.build(pair_list, un_src, un_tgt)
+        pm = _account_for(pm, cod_barcode, "target")
+    return pm
+
+
+def _account_for(pm, barcode, side):
+    """pm with the bars of barcode that it leaves out on side ("source" or
+    "target") added there as unmatched. Every bar pm holds on that side must
+    be in barcode."""
+    source = side == "source"
+    rest = list(barcode.bars)
+    for bar in pm.source_bars() if source else pm.target_bars():
+        if bar not in rest:
+            raise ValueError("%s bar %s not present in the supplied barcode"
+                             % ("domain" if source else "codomain", bar))
+        rest.remove(bar)
+    unmatched = pm.unmatched_source if source else pm.unmatched_target
+    bars = [bar for bar, mult in unmatched for _ in range(mult)] + rest
+    return replace(pm, **{"unmatched_" + side: _collapse(bars)})
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,7 @@ def _image_module(phi):
     spanned by the pivot columns of each component."""
     field = phi.dom.field
     l = phi.grid_len
-    C = []
-    for comp in phi.comps:
-        pivots = echelon(comp.to_lists(), comp.cols, field)
-        span = [[comp.get(i, j) for j in pivots] for i in range(comp.rows)]
-        C.append(Matrix.from_rows(field, span, cols=len(pivots)))
+    C = [comp._select(cols=comp._pivots()) for comp in phi.comps]
     dims = tuple(c.cols for c in C)
     maps = []
     for t in range(1, l + 1):

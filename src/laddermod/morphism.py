@@ -138,10 +138,9 @@ class MorphismMatrix:
             raise ValueError("generators out of order")
         if (self.entries.rows, self.entries.cols) != (len(self.row_gens), len(self.col_gens)):
             raise ValueError("entry matrix shape mismatch")
-        zero = self.entries.field.zero()
-        for r, rg in enumerate(self.row_gens):
-            for c, cg in enumerate(self.col_gens):
-                if self.entries.get(r, c) != zero and not interval_overlap(rg.bar, cg.bar):
+        for rg, row in zip(self.row_gens, self.entries.to_lists()):
+            for cg, x in zip(self.col_gens, row):
+                if x and not interval_overlap(rg.bar, cg.bar):
                     raise ValueError(
                         "entry (%s, %s) violates the support constraint" % (rg.bar, cg.bar)
                     )
@@ -154,12 +153,10 @@ class MorphismMatrix:
         return self.entries.get(r, c)
 
     def __str__(self):
-        lines = []
-        for r, rg in enumerate(self.row_gens):
-            cells = " ".join(self.field.fmt(self.entries.get(r, c))
-                             for c in range(len(self.col_gens)))
-            lines.append("%s | %s" % (rg.bar, cells))
-        return "\n".join(lines)
+        return "\n".join(
+            "%s | %s" % (rg.bar, " ".join(map(self.field.fmt, row)))
+            for rg, row in zip(self.row_gens, self.entries.to_lists())
+        )
 
 
 def _check_basis(basis, module, which, inverses=True):
@@ -248,52 +245,42 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
         raise ValueError("column generators do not match the domain basis")
     if tuple(g.bar for g in mm.row_gens) != tuple(g.bar for g in cod_basis.generators):
         raise ValueError("row generators do not match the codomain basis")
-    field = dom.field
-    zero = field.zero()
-    l = dom.grid_len
-    comps = []
+    # lift the single matrix once; each level then selects from the raw block
+    entries = mm.entries._select()
     h_inv = cod_basis.change.inverses()
-    for t in range(l + 1):
-        data = [[zero] * dom.dims[t] for _ in range(cod.dims[t])]
-        for r, rg in enumerate(cod_basis.generators):
-            if not rg.bar.contains_index(t):
-                continue
-            for c, cg in enumerate(dom_basis.generators):
-                if not cg.bar.contains_index(t):
-                    continue
-                v = mm.entry(r, c)
-                if v != zero:
-                    data[rg.position_at(t)][cg.position_at(t)] = v
-        P = Matrix.from_rows(field, data, cols=dom.dims[t])
+    comps = []
+    for t in range(dom.grid_len + 1):
+        P = entries._select(_alive(cod_basis.generators, t), _alive(dom_basis.generators, t))
         # P is sparse (in matching form, one nonzero per row at most), so P g is
         # the cheap product and h^-1 (P g) the only dense one
         comps.append(mat_mul(h_inv[t], mat_mul(P, dom_basis.change.mats[t])))
     return LadderModule(dom, cod, tuple(comps))
 
 
-def _masked(mm_rows, mm_cols, field, data):
-    """Zero, in place, the entries of row-major data whose row bar does not
-    overlap-precede their column bar; returns data."""
-    zero = field.zero()
-    n = len(mm_cols)
-    for r, rg in enumerate(mm_rows):
-        for c, cg in enumerate(mm_cols):
-            if data[r * n + c] != zero and not interval_overlap(rg.bar, cg.bar):
-                data[r * n + c] = zero
-    return data
+def _alive(gens, t):
+    """Indices of the generators alive at t, in the order of their positions there."""
+    return [i for _, i in sorted((g.position_at(t), i) for i, g in enumerate(gens)
+                                 if g.bar.contains_index(t))]
+
+
+def _support(row_gens, col_gens):
+    """ok[r][c] is True when entry (r, c) may be nonzero: the row bar
+    overlap-precedes the column bar."""
+    return [[interval_overlap(rg.bar, cg.bar) for cg in col_gens] for rg in row_gens]
 
 
 def compose_single(outer, inner):
     """Single matrix of a composite: multiply, then drop entries whose bars no
     longer overlap (those coefficients have empty common support)."""
-    ok = [g.bar for g in outer.col_gens] == [g.bar for g in inner.row_gens] and [
-        g.slot for g in outer.col_gens
-    ] == [g.slot for g in inner.row_gens]
-    if not ok:
+    if [(g.bar, g.slot) for g in outer.col_gens] != [(g.bar, g.slot) for g in inner.row_gens]:
         raise ValueError("inner codomain generators do not match outer domain")
     prod = mat_mul(outer.entries, inner.entries)
-    data = _masked(outer.row_gens, inner.col_gens, prod.field, list(prod.data))
-    entries = Matrix(prod.field, prod.rows, prod.cols, data)
+    zero = prod.field.zero()
+    rows = [
+        [x if allowed else zero for x, allowed in zip(row, mask)]
+        for row, mask in zip(prod.to_lists(), _support(outer.row_gens, inner.col_gens))
+    ]
+    entries = Matrix.from_rows(prod.field, rows, cols=prod.cols)
     return MorphismMatrix(outer.row_gens, inner.col_gens, entries)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import Matrix, mat_inverse, mat_mul
+from .fields import Matrix, _axpy, _scaled, mat_inverse, mat_mul
 
 
 @dataclass(frozen=True)
@@ -311,19 +311,6 @@ def _barcode_module(field, dims, gens):
         Matrix._of_raw(field, dims[t], dims[t - 1], data[t - 1], 1) for t in range(1, len(dims))
     )
     return PersistenceModule(field, tuple(dims), maps)
-
-
-def _axpy(field, x, fn, fd, y):
-    """Raw row x + (fn / fd) * y."""
-    (xn, xd), (yn, yd) = x, y
-    g = math.gcd(xd, fd)
-    s, t = fd // g * yd, fn * (xd // g)
-    return field._norm([a * s + t * b for a, b in zip(xn, yn)], xd * s)
-
-
-def _scaled(field, x, fn, fd):
-    """Raw row (fn / fd) * x."""
-    return field._norm([a * fn for a in x[0]], x[1] * fd)
 
 
 def reduce_to_barcode_basis(m):

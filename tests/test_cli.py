@@ -191,6 +191,50 @@ def test_match_methods_differ_on_bl(data_dir):
     assert "methods differ" in out_psi
 
 
+# V = [0,2] and W = [0,0] + [0,2] at delta 1: the bar [0,0] of W dies before
+# delta, so the shifted codomain no longer holds it
+EARLY_DYING_BAR = """morphism
+delta 1
+domain
+module
+field rational
+dims 1 1 1
+map 1
+1
+map 2
+1
+codomain
+module
+field rational
+dims 2 1 1
+map 1
+0 1
+map 2
+1
+components
+comp 0
+1
+comp 1
+1
+comp 2
+"""
+
+
+def test_match_accounts_for_codomain_bars_that_die_before_delta(tmp_path):
+    path = tmp_path / "early.txt"
+    path.write_text(EARLY_DYING_BAR)
+    code, out = run_cli("match", str(path), "--compare")
+    assert code == 0
+    ladder_block, bl_block = out.split("bl:\n")
+    for block in (ladder_block, bl_block):
+        assert "pair [0,2] -> [0,2] x1" in block
+        assert "unmatched target [0,0] x1" in block
+    assert out.splitlines()[-1] == "methods agree"
+    code, out = run_cli("match", str(path), "--method", "bl")
+    assert code == 0
+    assert "unmatched target [0,0] x1" in out
+
+
 def test_verify_command(data_dir):
     code, out = run_cli("verify", data(data_dir, "run.txt"), "--delta", "1")
     assert code == 0

@@ -16,7 +16,7 @@ from laddermod import (
     mat_mul,
     mat_solve,
 )
-from laddermod.fields import echelon
+from laddermod.fields import _eliminate
 
 from gen import FIELDS, random_invertible, random_matrix
 
@@ -265,8 +265,9 @@ def test_mat_mul_matches_triple_loop(field):
 
 def test_echelon_augmented_columns_are_not_pivoted():
     a = Matrix.from_int_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    work = [row + e for row, e in zip(a.to_lists(), Matrix.identity(QQ, 3).to_lists())]
-    assert echelon(work, 3, QQ) == [0, 1]
+    work = [QQ._lift(row + e) for row, e in zip(a.to_lists(), Matrix.identity(QQ, 3).to_lists())]
+    assert _eliminate(work, 3, QQ) == [0, 1]
+    work = [QQ._drop(*w) for w in work]
     # the augmented block has full rank, but no pivot was taken in it
     assert work[2][:3] == [0, 0, 0]
     assert work[2][3:] != [0, 0, 0]
@@ -277,8 +278,9 @@ def test_echelon_augmented_columns_are_not_pivoted():
 
 
 def test_echelon_empty_shapes():
-    assert echelon([], 3, QQ) == []
-    assert echelon([[], []], 0, F5) == []
+    assert _eliminate([], 3, QQ) == []
+    assert _eliminate([F5._lift([]), F5._lift([])], 0, F5) == []
+    assert Matrix.zero(F5, 2, 0)._pivots() == []
     for field in FIELDS:
         assert Matrix.zero(field, 0, 4).rank() == 0
         assert Matrix.zero(field, 4, 0).rank() == 0
@@ -345,10 +347,58 @@ def test_echelon_rows_match_object_reference(field):
             else:
                 data.append([_random_entry(rng, field) for _ in range(width)])
         want = [list(r) for r in data]
-        got = [list(r) for r in data]
-        assert echelon(got, ncols, field) == _object_echelon(want, ncols, field)
+        work = [field._lift(r) for r in data]
+        assert _eliminate(work, ncols, field) == _object_echelon(want, ncols, field)
+        got = [field._drop(*w) for w in work]
         assert got == want
         assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+def _picks(rng, n):
+    """Index lists to select with: all (None), none, all reversed, and random
+    ones, unsorted and with repeats."""
+    picks = [None, [], list(range(n))[::-1]]
+    if n:
+        picks += [[rng.randrange(n) for _ in range(rng.randint(1, 8))] for _ in range(2)]
+    return picks
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, F5, field_by_name("prime 1000003")], ids=lambda f: f.name
+)
+def test_select_matches_entry_reads(field):
+    rng = random.Random("select/" + field.name)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for rows, cols in shapes:
+        a = Matrix.from_rows(
+            field, [[_random_entry(rng, field) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+        # a kernel result holds a raw block instead of the entries it was given
+        for m in (a, mat_mul(a, Matrix.identity(field, cols))):
+            for rs in _picks(rng, rows):
+                for cs in _picks(rng, cols):
+                    got = m._select(rs, cs)
+                    ri = range(rows) if rs is None else rs
+                    ci = range(cols) if cs is None else cs
+                    want = Matrix.from_rows(
+                        field, [[m.get(i, j) for j in ci] for i in ri], cols=len(ci)
+                    )
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got == want
+                    assert got.data == want.data
+                    assert [type(x) for x in got.data] == [type(x) for x in want.data]
+
+
+def test_entries_outside_the_field_are_refused():
+    for field, bad in ((QQ, 0.5), (QQ, "1"), (QQ, Fp(1, 5)), (F5, Fraction(1, 2)), (F5, 0.5)):
+        a = Matrix(field, 1, 2, [field.one(), bad])
+        b = Matrix(field, 2, 1, [field.one(), field.one()])
+        message = "%r is not an element of %s" % (bad, field.name)
+        for use in (lambda: mat_mul(a, b), lambda: mat_mul(b, a), a.rank,
+                    lambda: a == Matrix.zero(field, 1, 2)):
+            with pytest.raises(ValueError) as err:
+                use()
+            assert str(err.value) == message
 
 
 def test_entries_of_another_characteristic_are_refused():
@@ -361,7 +411,7 @@ def test_entries_of_another_characteristic_are_refused():
     with pytest.raises(ValueError, match="mixed characteristics"):
         a.rank()
     with pytest.raises(ValueError, match="mixed characteristics"):
-        echelon(a.to_lists(), 2, F5)
+        a._pivots()
     with pytest.raises(ValueError, match="mixed characteristics"):
         mat_inverse(a)
     with pytest.raises(ValueError, match="mixed characteristics"):
@@ -381,9 +431,10 @@ def test_bare_int_entries_count_as_field_elements():
         )
         assert loose.rank() == exact.rank()
         assert mat_inverse(loose) == mat_inverse(exact)
-        rows = loose.to_lists()
-        assert echelon(rows, 2, field) == [0, 1]
-        assert rows == Matrix.identity(field, 2).to_lists()
+        work = loose._raw_rows()
+        assert _eliminate(work, 2, field) == [0, 1]
+        assert [field._drop(*w) for w in work] == Matrix.identity(field, 2).to_lists()
+        assert loose._pivots() == [0, 1]
     assert Matrix(F5, 1, 2, [1, Fp(2, 5)]).rank() == 1
     assert mat_mul(Matrix(F5, 1, 2, [1, Fp(2, 5)]), Matrix(F5, 2, 1, [7, 1])) == Matrix(
         F5, 1, 1, [Fp(4, 5)]

@@ -152,6 +152,64 @@ def test_is_matching_form_golds(running):
     assert is_matching_form(dec.matching)
 
 
+def _entrywise_is_matching_form(mm):
+    zero = mm.field.zero()
+    one = mm.field.one()
+    ncols = len(mm.col_gens)
+    col_seen = [False] * ncols
+    for r in range(len(mm.row_gens)):
+        row_nz = [c for c in range(ncols) if mm.entry(r, c) != zero]
+        if len(row_nz) > 1:
+            return False
+        for c in row_nz:
+            if mm.entry(r, c) != one or col_seen[c]:
+                return False
+            col_seen[c] = True
+    return True
+
+
+def _entrywise_summand_gens(matched):
+    zero = matched.field.zero()
+    pairs = []
+    used_rows = set()
+    used_cols = set()
+    for r, rg in enumerate(matched.row_gens):
+        for c, cg in enumerate(matched.col_gens):
+            if matched.entry(r, c) != zero:
+                pairs.append((rg, cg))
+                used_rows.add(r)
+                used_cols.add(c)
+    plus = tuple(g for c, g in enumerate(matched.col_gens) if c not in used_cols)
+    minus = tuple(g for r, g in enumerate(matched.row_gens) if r not in used_rows)
+    return tuple(pairs), plus, minus
+
+
+def test_matching_form_matches_entrywise_reference():
+    # entry by entry, as the checks read the matrix before they shared one scan
+    rng = random.Random("matching-form")
+    hits = {True: 0, False: 0}
+    patterned = 0
+    for field in (QQ, field_by_name("prime 5")):
+        for _ in range(400):
+            nrows, ncols = rng.randint(0, 4), rng.randint(0, 4)
+            # one bar for all, so that every entry is allowed
+            row_gens = tuple(BarGenerator(I(0, 1), i, (i, i)) for i in range(nrows))
+            col_gens = tuple(BarGenerator(I(0, 1), i, (i, i)) for i in range(ncols))
+            rows = [[rng.choice((0, 0, 0, 1, 1, 2)) for _ in range(ncols)] for _ in range(nrows)]
+            mm = MorphismMatrix(row_gens, col_gens, Matrix.from_int_rows(field, rows, cols=ncols))
+            want = _entrywise_is_matching_form(mm)
+            assert is_matching_form(mm) == want
+            hits[want] += 1
+            # the summands are read off a matched pattern: one nonzero at most
+            # in each row and in each column, whatever its value
+            if all(sum(map(bool, r)) <= 1 for r in rows) and all(
+                sum(bool(r[c]) for r in rows) <= 1 for c in range(ncols)
+            ):
+                assert ladder._summand_gens(mm) == _entrywise_summand_gens(mm)
+                patterned += 1
+    assert min(hits.values()) > 100 and patterned > hits[True]
+
+
 def test_counterexample_reduction_failure(counterexample):
     fail = reduce_to_matching_form(counterexample.mm)
     assert isinstance(fail, ReductionFailure)
