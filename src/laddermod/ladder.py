@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Matrix, _axpy, _scaled
-from .morphism import MorphismMatrix, _support, from_single_matrix, to_single_matrix
+# bench/workloads.py rebinds the imported from_single_matrix for its traced run.
+from .morphism import MorphismMatrix, _support, _unmet_level, from_single_matrix, to_single_matrix
 from .persistence import (
     BarcodeBasis,
     BasisChange,
@@ -549,36 +550,18 @@ def check_nestedness_precondition(lm, delta, dom_basis=None, cod_basis=None):
 
 
 def verify_decomposition(lm, dec):
-    """Rebuild the morphism from the matched matrix and the recorded bases and
-    compare with the input, entrywise and exactly. Returns None or a message."""
+    """Check that dec decomposes lm: the matched matrix P gives the recorded
+    summands, and h_t phi_t = P_t g_t at every level t, for the folded bases g,
+    h and the block P_t of P at the generators alive at t. With g and h proven
+    invertible by rank, this is phi_t = h_t^-1 P_t g_t. Returns None or a message."""
     if not is_matching_form(dec.matching):
         return "stored matrix is not in matching form"
-    for cg, dg in dec.pairs:
-        if not interval_overlap(cg.bar, dg.bar):
-            return "matched pair (%s, %s) breaks the support rule" % (cg.bar, dg.bar)
-    dom_counts = dec.dom_basis.barcode.counts()
-    cod_counts = dec.cod_basis.barcode.counts()
-    for bar, mult in dom_counts.items():
-        got = sum(1 for _, dg in dec.pairs if dg.bar == bar) + sum(
-            1 for g in dec.plus_gens if g.bar == bar
-        )
-        if got != mult:
-            return "domain bar %s occurs %d times, accounted %d" % (bar, mult, got)
-    for bar, mult in cod_counts.items():
-        got = sum(1 for cg, _ in dec.pairs if cg.bar == bar) + sum(
-            1 for g in dec.minus_gens if g.bar == bar
-        )
-        if got != mult:
-            return "codomain bar %s occurs %d times, accounted %d" % (bar, mult, got)
     if _summand_gens(dec.matching) != (dec.pairs, dec.plus_gens, dec.minus_gens):
         return "recorded summands differ from the ones the matched matrix gives"
     try:
-        rebuilt = from_single_matrix(
-            dec.matching, lm.dom, lm.cod, dec.dom_basis, dec.cod_basis
-        )
+        t = _unmet_level(dec.matching, lm, dec.dom_basis, dec.cod_basis)
     except ValueError as e:
         return "reconstruction failed: %s" % e
-    for t, (a, b) in enumerate(zip(rebuilt.comps, lm.comps)):
-        if a != b:
-            return "reconstructed component %d differs from the input" % t
+    if t is not None:
+        return "reconstructed component %d differs from the input" % t
     return None

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .fields import Matrix, mat_mul, mat_solve
+from .fields import mat_mul, mat_solve
 from .persistence import (
     Barcode,
     PersistenceModule,
@@ -181,20 +181,16 @@ def check_matching_correspondence(chi_phi, chi_psi, delta):
 def _image_module(phi):
     """Pointwise column-space of a morphism, as a submodule of the codomain
     spanned by the pivot columns of each component."""
-    field = phi.dom.field
     l = phi.grid_len
     C = [comp._select(cols=comp._pivots()) for comp in phi.comps]
-    dims = tuple(c.cols for c in C)
     maps = []
     for t in range(1, l + 1):
         rhs = mat_mul(phi.cod.map_at(t), C[t - 1])
-        if C[t].cols == 0:
-            if not rhs.is_zero():
-                raise ValueError("image is not closed under the structure maps")
-            maps.append(Matrix.zero(field, 0, dims[t - 1]))
-        else:
+        try:
             maps.append(mat_solve(C[t], rhs))
-    return PersistenceModule(field, dims, tuple(maps))
+        except ValueError:
+            raise ValueError("image is not closed under the structure maps") from None
+    return PersistenceModule(phi.dom.field, tuple(c.cols for c in C), tuple(maps))
 
 
 def bl_matching(phi, dom_basis=None, cod_basis=None):
@@ -337,4 +333,4 @@ def bottleneck_distance(b1, b2, max_bars=64):
     for tau in sorted(cands):
         if feasible(tau):
             return tau
-    raise AssertionError("no feasible threshold found")
+    raise RuntimeError("no feasible threshold found")

@@ -241,26 +241,42 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     and J at t as well."""
     _check_basis(dom_basis, dom, "domain", inverses=False)
     _check_basis(cod_basis, cod, "codomain", inverses=True)
+    h_inv, g = cod_basis.change.inverses(), dom_basis.change.mats
+    # P is sparse (in matching form, one nonzero per row at most), so P g is
+    # the cheap product and h^-1 (P g) the only dense one
+    comps = [mat_mul(h_inv[t], mat_mul(P, g[t]))
+             for t, P in enumerate(_level_blocks(mm, dom_basis, cod_basis))]
+    return LadderModule(dom, cod, tuple(comps))
+
+
+def _level_blocks(mm, dom_basis, cod_basis):
+    """P_t at every level t: the block of mm at the generators alive at t, in
+    the order of their positions there."""
     if tuple(g.bar for g in mm.col_gens) != tuple(g.bar for g in dom_basis.generators):
         raise ValueError("column generators do not match the domain basis")
     if tuple(g.bar for g in mm.row_gens) != tuple(g.bar for g in cod_basis.generators):
         raise ValueError("row generators do not match the codomain basis")
+
+    def alive(gens, t):
+        return [i for _, i in sorted((g.position_at(t), i) for i, g in enumerate(gens)
+                                     if g.bar.contains_index(t))]
+
     # lift the single matrix once; each level then selects from the raw block
     entries = mm.entries._select()
-    h_inv = cod_basis.change.inverses()
-    comps = []
-    for t in range(dom.grid_len + 1):
-        P = entries._select(_alive(cod_basis.generators, t), _alive(dom_basis.generators, t))
-        # P is sparse (in matching form, one nonzero per row at most), so P g is
-        # the cheap product and h^-1 (P g) the only dense one
-        comps.append(mat_mul(h_inv[t], mat_mul(P, dom_basis.change.mats[t])))
-    return LadderModule(dom, cod, tuple(comps))
+    return [entries._select(alive(cod_basis.generators, t), alive(dom_basis.generators, t))
+            for t in range(dom_basis.reduced.grid_len + 1)]
 
 
-def _alive(gens, t):
-    """Indices of the generators alive at t, in the order of their positions there."""
-    return [i for _, i in sorted((g.position_at(t), i) for i, g in enumerate(gens)
-                                 if g.bar.contains_index(t))]
+def _unmet_level(mm, lm, dom_basis, cod_basis):
+    """The first t with h_t phi_t != P_t g_t, or None when mm presents lm in
+    these bases. Both bases are checked in full, invertibility by rank."""
+    _check_basis(dom_basis, lm.dom, "domain", inverses=False)
+    _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
+    g, h = dom_basis.change.mats, cod_basis.change.mats
+    for t, P in enumerate(_level_blocks(mm, dom_basis, cod_basis)):
+        if mat_mul(h[t], lm.comps[t]) != mat_mul(P, g[t]):
+            return t
+    return None
 
 
 def _support(row_gens, col_gens):

@@ -310,6 +310,76 @@ def test_verify_decomposition_checks_pairs_against_the_matrix():
     assert verify_decomposition(lm, swapped) == want
 
 
+def _bumped(m, r, c):
+    """m with one added to entry (r, c)."""
+    rows = m.to_lists()
+    rows[r][c] += m.field.one()
+    return Matrix.from_rows(m.field, rows, cols=m.cols)
+
+
+def _with_level(basis, t, mat):
+    mats = basis.change.mats[:t] + (mat,) + basis.change.mats[t + 1:]
+    return dataclasses.replace(basis, change=BasisChange(mats))
+
+
+def _single_mutations(phi, dec):
+    """Decompositions (and inputs) that each differ from a valid one in one
+    place that verify_decomposition must notice."""
+    (cg, dg), *_ = dec.pairs
+    r, c = dec.matching.row_gens.index(cg), dec.matching.col_gens.index(dg)
+    t = dg.bar.a  # cg and dg overlap, so both are alive here
+    # P_t (g_t + E) != P_t g_t when E's row is the matched domain generator's
+    g = dec.dom_basis.change.mats[t]
+    yield phi, dataclasses.replace(
+        dec, dom_basis=_with_level(dec.dom_basis, t, _bumped(g, dg.position_at(t), 0)))
+    # (h_t + E) phi_t != h_t phi_t when E's column meets a nonzero row of phi_t
+    h, comp = dec.cod_basis.change.mats[t], phi.comps[t]
+    j = next(j for j in range(comp.rows) if any(comp.row(j)))
+    yield phi, dataclasses.replace(dec, cod_basis=_with_level(dec.cod_basis, t, _bumped(h, 0, j)))
+    for value in (2, 0):
+        rows = dec.matching.entries.to_lists()
+        rows[r][c] = phi.dom.field.of(value)
+        entries = Matrix.from_rows(phi.dom.field, rows, cols=dec.matching.entries.cols)
+        yield phi, dataclasses.replace(
+            dec, matching=dataclasses.replace(dec.matching, entries=entries))
+    comps = list(phi.comps)
+    comps[t] = _bumped(comps[t], 0, 0)
+    yield LadderModule(phi.dom, phi.cod, tuple(comps)), dec
+    bars = list(dec.dom_basis.barcode)
+    yield phi, dataclasses.replace(
+        dec, dom_basis=dataclasses.replace(dec.dom_basis, barcode=Barcode(bars[1:])))
+    if dec.plus_gens:
+        yield phi, dataclasses.replace(dec, plus_gens=dec.plus_gens[1:])
+    if dec.minus_gens:
+        yield phi, dataclasses.replace(dec, minus_gens=dec.minus_gens[1:])
+    far = I(cg.bar.b + 1, cg.bar.b + 1 + dg.bar.length)
+    pairs = ((cg, dataclasses.replace(dg, bar=far)),) + dec.pairs[1:]
+    yield phi, dataclasses.replace(dec, pairs=pairs)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_verify_rejects_single_mutations(field_name):
+    field = field_by_name(field_name)
+    rng = random.Random("mutations/" + field_name)
+    checked = 0
+    while checked < 15:
+        lm, _, _, _ = gen.random_barcode_morphism(rng, field)
+        phi, _, _ = gen.conjugate_morphism(rng, lm)
+        dec = decompose(phi)
+        if not isinstance(dec, LadderDecomposition) or not dec.pairs:
+            continue
+        if not (dec.plus_gens or dec.minus_gens):
+            continue
+        kinds = {op.kind for op in dec.ops}
+        if not (kinds & {"scale-col", "AO1-col", "AO2"} and kinds & {"scale-row", "AO1-row", "AO3"}):
+            continue
+        assert verify_decomposition(phi, dec) is None
+        verdicts = [verify_decomposition(*bad) for bad in _single_mutations(phi, dec)]
+        assert len(verdicts) >= 8
+        assert all(isinstance(v, str) for v in verdicts), verdicts
+        checked += 1
+
+
 def test_generators_that_misstate_their_bars_are_rejected():
     # the zero morphism [2,3] -> 3 x [5,6]; the first codomain generator claims
     # [5,5] and the barcode follows it, so only the reduced module disagrees
@@ -493,9 +563,9 @@ def test_fold_matches_object_reference(field_name):
 
 def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
     """decompose checks the two endpoint bases and verify_decomposition the
-    two folded ones. Of these four basis changes only the two whose inverses
-    the single-matrix conversions read are inverted, each level once; the
-    other two are proven invertible by rank."""
+    two folded ones. Of these four basis changes only the domain one, whose
+    inverses to_single_matrix reads, is inverted, each level once; the other
+    three are proven invertible by rank."""
     phi, _, _ = gen.conjugate_morphism(random.Random("inverses"), running.phi)
     inverted = []
 
@@ -510,7 +580,7 @@ def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
     kinds = {op.kind for op in dec.ops}
     assert kinds & {"scale-col", "AO1-col", "AO2"} and kinds & {"scale-row", "AO1-row", "AO3"}
     assert verify_decomposition(phi, dec) is None
-    assert len(inverted) == 2 * (phi.grid_len + 1)
+    assert len(inverted) == phi.grid_len + 1
     assert len({id(a) for a in inverted}) == len(inverted)
 
 

@@ -8,7 +8,9 @@ import pytest
 from laddermod import (
     Barcode,
     Interval,
+    LadderModule,
     PartialMatching,
+    QQ,
     bl_matching,
     bottleneck_distance,
     check_cost_bound,
@@ -16,7 +18,9 @@ from laddermod import (
     decompose,
     induced_matching,
     matching_cost,
+    module_from_barcode,
     to_basis_independent,
+    validate_ladder,
 )
 
 I = Interval
@@ -147,6 +151,20 @@ def test_ladder_matchings_depend_on_the_morphism(bl_example):
     assert lad_phi != lad_psi
     # the image construction cannot see the difference
     assert lad_phi.pairs == bl_matching(bl_example.bphi, bl_example.bbBV, bl_example.bbBW1).pairs
+
+
+@pytest.mark.parametrize("dom_bars, cod_bars, comps", [
+    ([I(0, 1)], [I(0, 1), I(1, 1)], [[[1]], [[0], [1]]]),  # the image is nonzero at 1
+    ([I(0, 0), I(0, 1)], [I(0, 1)], [[[1, 0]], [[0]]]),  # the image is zero at 1
+])
+def test_bl_matching_names_a_non_commuting_ladder_one_way(dom_bars, cod_bars, comps):
+    V = module_from_barcode(QQ, 1, dom_bars)
+    W = module_from_barcode(QQ, 1, cod_bars)
+    phi = LadderModule.from_int_comps(V, W, comps)
+    assert validate_ladder(phi) == "square 1 does not commute"
+    with pytest.raises(ValueError) as e:
+        bl_matching(phi)
+    assert str(e.value) == "image is not closed under the structure maps"
 
 
 def test_bl_matching_running(running):
