@@ -210,26 +210,19 @@ def bl_matching(phi, dom_basis=None, cod_basis=None):
     def family_key(g):
         return (-g.bar.length, -g.origin.length, g.slot)
 
-    # image -> codomain along deaths
-    into_cod = {}
-    deaths = {g.bar.b for g in im_basis.generators}
-    for d in deaths:
-        ims = sorted((g for g in im_basis.generators if g.bar.b == d), key=family_key)
-        cods = sorted((g for g in cod_basis.generators if g.bar.b == d), key=family_key)
-        if len(ims) > len(cods):
-            raise ValueError("image barcode does not inject into the codomain at death %d" % d)
-        for ig, cg in zip(ims, cods):
-            into_cod[(ig.bar, ig.slot)] = cg
-    # domain -> image along births
-    from_dom = {}
-    births = {g.bar.a for g in im_basis.generators}
-    for b in births:
-        ims = sorted((g for g in im_basis.generators if g.bar.a == b), key=family_key)
-        doms = sorted((g for g in dom_basis.generators if g.bar.a == b), key=family_key)
-        if len(ims) > len(doms):
-            raise ValueError("image barcode does not inject into the domain at birth %d" % b)
-        for ig, dg in zip(ims, doms):
-            from_dom[(ig.bar, ig.slot)] = dg
+    def inject(end, gens, where):
+        out = {}
+        for e in {end(g) for g in im_basis.generators}:
+            ims = sorted((g for g in im_basis.generators if end(g) == e), key=family_key)
+            tgts = sorted((g for g in gens if end(g) == e), key=family_key)
+            if len(ims) > len(tgts):
+                raise ValueError("image barcode does not inject into the %s %d" % (where, e))
+            for ig, tg in zip(ims, tgts):
+                out[(ig.bar, ig.slot)] = tg
+        return out
+
+    into_cod = inject(lambda g: g.bar.b, cod_basis.generators, "codomain at death")
+    from_dom = inject(lambda g: g.bar.a, dom_basis.generators, "domain at birth")
 
     pair_list = []
     used_dom = set()

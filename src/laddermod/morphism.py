@@ -162,10 +162,10 @@ class MorphismMatrix:
 def _check_basis(basis, module, which, inverses=True):
     """Raise ValueError unless basis.change takes module to basis.reduced,
     that is g_t A_t g_{t-1}^{-1} == R_t at every t. Once every g_t is known
-    to be invertible this is g_t A_t == R_t g_{t-1}, which needs no product
-    with an inverse. The checks and messages are those of applying the change
-    with BasisChange.apply and comparing, in the same order. A last check
-    proves that the generators list basis.barcode and lay out basis.reduced.
+    to be invertible this is g_t A_t == R_t g_{t-1}, validate_ladder on the
+    ladder g: module -> basis.reduced, with no inverse. Checks and messages
+    are those of BasisChange.apply and a compare, in the same order. A last
+    check proves the generators list basis.barcode and lay out basis.reduced.
 
     With inverses true, invertibility is proven by computing the inverses,
     which the object keeps for the caller; otherwise by the rank of each g_t
@@ -183,9 +183,8 @@ def _check_basis(basis, module, which, inverses=True):
                 raise ValueError("singular matrix")
     if module.grid_len and any(x.field != module.field for x in g):
         raise ValueError("field mismatch")
-    if red.field != module.field or red.dims != module.dims or any(
-        mat_mul(g[t], module.map_at(t)) != mat_mul(red.map_at(t), g[t - 1])
-        for t in range(1, module.grid_len + 1)
+    if red.field != module.field or red.dims != module.dims or (
+        validate_ladder(LadderModule(module, red, g)) is not None
     ):
         raise ValueError("%s basis does not reduce the %s module" % (which, which))
     if basis.barcode != Barcode(x.bar for x in basis.generators) or red != _barcode_module(
@@ -195,7 +194,15 @@ def _check_basis(basis, module, which, inverses=True):
 
 
 def to_single_matrix(lm, dom_basis, cod_basis):
-    """Express a morphism as its single matrix over the given barcode bases."""
+    """Express a morphism as its single matrix over the given barcode bases.
+
+    The checked bases are isomorphisms onto the rigid modules R and S, so the
+    level products P_t = h_t phi_t g_t^-1 commute with R and S exactly when
+    phi does, and validate_ladder on P proves it. R and S carry each bar to
+    itself while it lives, so P commutes exactly when each entry M(K, J) is
+    the same at every level where both bars live and is zero unless
+    K.a <= J.a <= K.b <= J.b. Each entry is therefore read once, at the
+    first level where both bars live."""
     _check_basis(dom_basis, lm.dom, "domain", inverses=True)
     _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
     g_inv = dom_basis.change.inverses()
@@ -203,27 +210,21 @@ def to_single_matrix(lm, dom_basis, cod_basis):
         mat_mul(mat_mul(cod_basis.change.mats[t], lm.comps[t]), g_inv[t])
         for t in range(lm.grid_len + 1)
     ]
-    field = lm.dom.field
-    zero = field.zero()
+    bad = validate_ladder(LadderModule(dom_basis.reduced, cod_basis.reduced, tuple(P)))
+    if bad is not None:
+        raise ValueError("the components do not define a morphism: %s" % bad)
+    zero = lm.dom.field.zero()
     rows = []
     for rg in cod_basis.generators:
         row = []
         for cg in dom_basis.generators:
-            lo = max(rg.bar.a, cg.bar.a)
-            hi = min(rg.bar.b, cg.bar.b)
-            if lo > hi:
+            t = max(rg.bar.a, cg.bar.a)
+            if t <= min(rg.bar.b, cg.bar.b):
+                row.append(P[t].get(rg.position_at(t), cg.position_at(t)))
+            else:
                 row.append(zero)
-                continue
-            vals = {P[t].get(rg.position_at(t), cg.position_at(t)) for t in range(lo, hi + 1)}
-            if len(vals) != 1:
-                raise ValueError(
-                    "entry (%s, %s) is not constant along the overlap; "
-                    "the components do not define a morphism in these bases"
-                    % (rg.bar, cg.bar)
-                )
-            row.append(vals.pop())
         rows.append(row)
-    entries = Matrix.from_rows(field, rows, cols=len(dom_basis.generators))
+    entries = Matrix.from_rows(lm.dom.field, rows, cols=len(dom_basis.generators))
     return MorphismMatrix(tuple(cod_basis.generators), tuple(dom_basis.generators), entries)
 
 
@@ -231,14 +232,10 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     """Rebuild componentwise maps from a single matrix, in the original
     coordinates of dom and cod.
 
-    The result commutes by construction and is not re-validated. With P_t
-    the level-t block of mm, component t is h_t^-1 P_t g_t, and the checked
-    bases give g_t A_t = R_t g_(t-1) and h_t B_t = S_t h_(t-1), so square t
-    commutes when P_t R_t = S_t P_(t-1). R and S are the rigid modules the
-    generators lay out, so both sides carry M(K, J) from J at t-1 to K at t
-    once K lives at t and J at t-1: a nonzero M(K, J) has
-    K.a <= J.a <= K.b <= J.b (MorphismMatrix checks it), so K lives at t-1
-    and J at t as well."""
+    Component t is h_t^-1 P_t g_t for the block P_t of mm at the generators
+    alive at t. The result commutes by construction and is not re-validated:
+    the blocks of a single matrix commute with the rigid modules (see
+    to_single_matrix), and the checked bases carry them back to dom and cod."""
     _check_basis(dom_basis, dom, "domain", inverses=False)
     _check_basis(cod_basis, cod, "codomain", inverses=True)
     h_inv, g = cod_basis.change.inverses(), dom_basis.change.mats

@@ -1,8 +1,12 @@
 """Admissible operations, the matching-form reduction, and full decompositions."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
 import random
+import re
 
 import pytest
 
@@ -592,3 +596,17 @@ def test_basis_change_inverses_are_kept_outside_equality():
     assert all(mat_inverse(g) == h for g, h in zip(mats, invs))
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
+
+
+def test_readme_library_quick_start():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        block = re.search(r"```python\n(.*?)```", f.read(), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == [
+        "['R [0,4]->[0,4]', 'R [1,7]->[0,5]']",
+        "['pair [0,4] -> [1,5] x1', 'pair [1,7] -> [1,6] x1']",
+        "1",
+    ]

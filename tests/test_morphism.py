@@ -24,6 +24,7 @@ from laddermod import (
     check_interleaving,
     compose_ladder,
     compose_single,
+    decompose,
     field_by_name,
     from_single_matrix,
     identity_ladder,
@@ -86,6 +87,21 @@ def test_single_matrix_round_trip(running):
     back = from_single_matrix(mm, running.V, running.W1, running.bbV, running.bbW1)
     assert back == running.phi
     assert to_single_matrix(back, running.bbV, running.bbW1) == mm
+
+
+@pytest.mark.parametrize("cod_bars, comps", [
+    ([I(0, 1)], [[[1]], [[2]]]),  # an entry that changes along the overlap
+    ([I(1, 1)], [[], [[1]]]),  # an entry off the support: [1,1] is born after [0,1]
+])
+def test_single_matrix_names_a_non_commuting_ladder(cod_bars, comps):
+    V = module_from_barcode(QQ, 1, [I(0, 1)])
+    W = module_from_barcode(QQ, 1, cod_bars)
+    phi = LadderModule.from_int_comps(V, W, comps)
+    want = "the components do not define a morphism: square 1 does not commute"
+    for convert in (to_single_matrix, decompose):
+        with pytest.raises(ValueError) as e:
+            convert(phi, reduce_to_barcode_basis(V), reduce_to_barcode_basis(W))
+        assert str(e.value) == want
 
 
 def test_morphism_matrix_support_constraint():

@@ -12,6 +12,7 @@ from laddermod import (
     Barcode,
     Interval,
     LadderDecomposition,
+    LadderModule,
     Matrix,
     QQ,
     bottleneck_distance,
@@ -338,3 +339,34 @@ def test_library_built_bases_pass_the_entry_check(field_name):
         _check_basis(dec.cod_basis, phi.cod, "codomain")
         rebuilt = from_single_matrix(dec.matching, phi.dom, phi.cod, dec.dom_basis, dec.cod_basis)
         assert validate_ladder(rebuilt) is None
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_single_matrix_refuses_exactly_the_non_commuting_ladders(field_name):
+    """to_single_matrix proves commutation on the level products in barcode
+    bases. It must refuse exactly the ladders whose own squares do not
+    commute, and name the square validate_ladder names."""
+    field = field_by_name(field_name)
+    rng = random.Random("commutation-parity/" + field_name)
+    seen = Counter()
+    for _ in range(100):
+        lm, _, _, _ = gen.random_barcode_morphism(rng, field)
+        phi, _, _ = gen.conjugate_morphism(rng, lm)
+        levels = [t for t, c in enumerate(phi.comps) if c.rows and c.cols]
+        if levels and rng.random() < 0.6:
+            comps = list(phi.comps)
+            t = rng.choice(levels)
+            rows = comps[t].to_lists()
+            r, c = rng.randrange(comps[t].rows), rng.randrange(comps[t].cols)
+            rows[r][c] += field.of(rng.choice((1, 2)))
+            comps[t] = Matrix.from_rows(field, rows, cols=comps[t].cols)
+            phi = LadderModule(phi.dom, phi.cod, tuple(comps))
+        want = validate_ladder(phi)
+        try:
+            to_single_matrix(phi, reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod))
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == (None if want is None else "the components do not define a morphism: " + want)
+        seen[want is None] += 1
+    assert seen[True] >= 30 and seen[False] >= 30, seen
