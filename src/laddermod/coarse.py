@@ -76,7 +76,7 @@ def _build_part(m, basis, sel_gens):
     part = _barcode_module(field, dims, gens)
     part_basis = BarcodeBasis(
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
-    )
+    )._mark(part)
     # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
     # the generators lay out basis.reduced, so both commute with it
     g, g_inv = basis.change.mats, basis.change.inverses()
@@ -86,12 +86,14 @@ def _build_part(m, basis, sel_gens):
 
 
 def q_split(m, q, basis=None):
-    """Split m into the direct sum of its bars of length >= q and the rest."""
+    """Split m into the direct sum of its bars of length >= q and the rest. A
+    given basis is checked unless the library built it for m (see BarcodeBasis);
+    the part bases come marked for their parts."""
     if q < 0:
         raise ValueError("q must be >= 0")
     if basis is None:
         basis = reduce_to_barcode_basis(m)
-    else:
+    elif not basis._marked_for(m):
         _check_basis(basis, m, "source")
     long_gens = [g for g in basis.generators if g.bar.length >= q]
     short_gens = [g for g in basis.generators if g.bar.length < q]

@@ -176,11 +176,7 @@ def _check_basis(basis, module, which, inverses=True):
     if inverses:
         basis.change.inverses()
     else:
-        for x in g:
-            if x.rows != x.cols:
-                raise ValueError("not square")
-            if x.rank() < x.rows:
-                raise ValueError("singular matrix")
+        basis.change._prove_invertible()
     if module.grid_len and any(x.field != module.field for x in g):
         raise ValueError("field mismatch")
     if red.field != module.field or red.dims != module.dims or (
@@ -202,9 +198,12 @@ def to_single_matrix(lm, dom_basis, cod_basis):
     itself while it lives, so P commutes exactly when each entry M(K, J) is
     the same at every level where both bars live and is zero unless
     K.a <= J.a <= K.b <= J.b. Each entry is therefore read once, at the
-    first level where both bars live."""
-    _check_basis(dom_basis, lm.dom, "domain", inverses=True)
-    _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
+    first level where both bars live. A basis is checked unless the library
+    built it for that endpoint (see BarcodeBasis)."""
+    if not dom_basis._marked_for(lm.dom):
+        _check_basis(dom_basis, lm.dom, "domain", inverses=True)
+    if not cod_basis._marked_for(lm.cod):
+        _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
     g_inv = dom_basis.change.inverses()
     P = [
         mat_mul(mat_mul(cod_basis.change.mats[t], lm.comps[t]), g_inv[t])
@@ -235,9 +234,12 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     Component t is h_t^-1 P_t g_t for the block P_t of mm at the generators
     alive at t. The result commutes by construction and is not re-validated:
     the blocks of a single matrix commute with the rigid modules (see
-    to_single_matrix), and the checked bases carry them back to dom and cod."""
-    _check_basis(dom_basis, dom, "domain", inverses=False)
-    _check_basis(cod_basis, cod, "codomain", inverses=True)
+    to_single_matrix), and the checked bases carry them back to dom and cod.
+    As there, a basis the library built for its module is not checked again."""
+    if not dom_basis._marked_for(dom):
+        _check_basis(dom_basis, dom, "domain", inverses=False)
+    if not cod_basis._marked_for(cod):
+        _check_basis(cod_basis, cod, "codomain", inverses=True)
     h_inv, g = cod_basis.change.inverses(), dom_basis.change.mats
     # P is sparse (in matching form, one nonzero per row at most), so P g is
     # the cheap product and h^-1 (P g) the only dense one

@@ -205,6 +205,19 @@ class BasisChange:
             object.__setattr__(self, "_inverses", invs)
         return invs
 
+    def _prove_invertible(self):
+        """Raise ValueError unless every g_t is invertible, by rank alone. The
+        verdict is kept next to the inverses (which prove it too) and cannot
+        go stale, so a second call costs nothing."""
+        if "_inverses" in self.__dict__ or "_invertible" in self.__dict__:
+            return
+        for g in self.mats:
+            if g.rows != g.cols:
+                raise ValueError("not square")
+            if g.rank() < g.rows:
+                raise ValueError("singular matrix")
+        object.__setattr__(self, "_invertible", True)
+
     def apply(self, m):
         """Rewrite the structure maps in the new coordinates: g_t A_t g_{t-1}^{-1}."""
         if tuple(g.rows for g in self.mats) != m.dims:
@@ -260,7 +273,13 @@ class BarGenerator:
 class BarcodeBasis:
     """A barcode basis: the change of coordinates, the resulting interval
     decomposition, one generator record per bar, and the reduced module whose
-    structure maps are in rigid barcode form."""
+    structure maps are in rigid barcode form.
+
+    A basis the library builds (reduce_to_barcode_basis, shift_basis,
+    offset_origins, the parts of q_split) is marked with the module it reduces
+    by construction. to_single_matrix, from_single_matrix and q_split skip
+    their entry check for a basis marked for the module they are given (or an
+    equal one); any other basis is checked in full where it enters."""
 
     change: BasisChange
     barcode: Barcode
@@ -270,6 +289,18 @@ class BarcodeBasis:
     def generator_index(self):
         """(bar, slot) -> generator lookup."""
         return {(g.bar, g.slot): g for g in self.generators}
+
+    def _mark(self, m):
+        """Mark self as built to reduce m (unless m is None) and return it. As
+        with BasisChange's inverses, the mark sits outside the dataclass
+        fields: equality, hash and repr ignore it, dataclasses.replace drops it."""
+        if m is not None:
+            object.__setattr__(self, "_reduces", m)
+        return self
+
+    def _marked_for(self, m):
+        mark = self.__dict__.get("_reduces")
+        return mark is not None and (mark is m or mark == m)
 
 
 def _assign_slots(raw_gens):
@@ -431,7 +462,7 @@ def reduce_to_barcode_basis(m):
         for i in range(1, l + 1)
     ):
         raise RuntimeError("sweep left the module out of barcode form")
-    return BarcodeBasis(change, Barcode([g_.bar for g_ in gens]), gens, reduced)
+    return BarcodeBasis(change, Barcode([g_.bar for g_ in gens]), gens, reduced)._mark(m)
 
 
 def shift_basis(bb, delta):
@@ -463,9 +494,10 @@ def shift_basis(bb, delta):
         raw.append({"bar": clipped, "positions": positions, "origin": gen.origin})
     gens = _assign_slots(raw)
     reduced = shift(bb.reduced, delta)
+    mark = bb.__dict__.get("_reduces")
     return BarcodeBasis(
         BasisChange(tuple(mats)), Barcode([g.bar for g in gens]), gens, reduced
-    )
+    )._mark(None if mark is None else shift(mark, delta))
 
 
 def offset_origins(bb, delta):
@@ -481,7 +513,7 @@ def offset_origins(bb, delta):
         )
         for g in bb.generators
     )
-    return BarcodeBasis(bb.change, bb.barcode, gens, bb.reduced)
+    return BarcodeBasis(bb.change, bb.barcode, gens, bb.reduced)._mark(bb.__dict__.get("_reduces"))
 
 
 def module_from_barcode(field, grid_len, bars):

@@ -22,6 +22,10 @@ from laddermod import (
 )
 from laddermod.cli import MorphismDoc
 
+# the generators check what they build with asserts; rewriting them keeps those
+# checks alive under python -O, as pytest does for the test modules themselves
+pytest.register_assert_rewrite("gen")
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 

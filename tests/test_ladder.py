@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -586,6 +587,58 @@ def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
     assert verify_decomposition(phi, dec) is None
     assert len(inverted) == phi.grid_len + 1
     assert len({id(a) for a in inverted}) == len(inverted)
+
+
+def test_decompose_trusts_library_bases_and_verify_checks_in_full(monkeypatch, running):
+    """decompose proves nothing again about bases the library built for the
+    modules it is handed (the sweep's, or a shifted one for an equal shifted
+    module): no basis check, and one validate_ladder, on the level products.
+    verify_decomposition ignores the marks and checks both folded bases."""
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(morphism, "_check_basis", counting("check", morphism._check_basis))
+    monkeypatch.setattr(morphism, "validate_ladder", counting("validate", morphism.validate_ladder))
+    phi, _, _ = gen.conjugate_morphism(random.Random("trusted"), running.phi)
+    cases = [
+        (phi, None, None),
+        (phi, reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)),
+        (running.phi, running.bbV, running.bbW1),
+    ]
+    for lm, dom_basis, cod_basis in cases:
+        calls.clear()
+        dec = decompose(lm, dom_basis, cod_basis)
+        assert isinstance(dec, LadderDecomposition)
+        assert calls == {"validate": 1}
+        calls.clear()
+        assert verify_decomposition(lm, dec) is None
+        assert calls == {"check": 2, "validate": 2}
+
+
+def test_second_verify_computes_no_rank(monkeypatch, running):
+    """verify_decomposition proves the folded bases invertible by rank, and
+    each BasisChange keeps that verdict, so verifying the same decomposition
+    again computes no rank."""
+    phi, _, _ = gen.conjugate_morphism(random.Random("verify-twice"), running.phi)
+    dec = decompose(phi)
+    ranked = []
+    rank = Matrix.rank
+
+    def counted(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    assert verify_decomposition(phi, dec) is None
+    assert ranked
+    ranked.clear()
+    assert verify_decomposition(phi, dec) is None
+    assert ranked == []
 
 
 def test_basis_change_inverses_are_kept_outside_equality():

@@ -1,5 +1,6 @@
 """Ladder modules, single-matrix presentations, and interleaving checks."""
 
+import dataclasses
 import random
 from collections import Counter
 from functools import partial
@@ -30,6 +31,7 @@ from laddermod import (
     identity_ladder,
     inner_ladder,
     module_from_barcode,
+    q_split,
     reduce_to_barcode_basis,
     shift,
     shift_morphism,
@@ -390,3 +392,70 @@ def test_rank_proven_basis_check_matches_applying_the_change(field_name, monkeyp
     assert inverted == []
     assert {w if w is None else w.replace("codomain", "domain") for w in wants} >= {
         None, "singular matrix", "not square", "field mismatch"}
+
+
+def _tampered_change(rng, bb):
+    """bb's change with one level replaced by a random invertible matrix or
+    given a zero row; either may or may not still reduce the module."""
+    mats = list(bb.change.mats)
+    t = rng.choice([t for t, g in enumerate(mats) if g.rows])
+    field, n = mats[t].field, mats[t].rows
+    if rng.random() < 0.5:
+        mats[t] = gen.random_invertible(rng, field, n, ops=2 * n + 1)
+    else:
+        rows = mats[t].to_lists()
+        rows[rng.randrange(n)] = [field.zero()] * n
+        mats[t] = Matrix.from_rows(field, rows, cols=n)
+    return BasisChange(tuple(mats))
+
+
+def _message(call):
+    with pytest.raises(ValueError) as e:
+        call()
+    return str(e.value)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_unmarked_and_foreign_bases_are_checked_at_every_entry(field_name):
+    """Only a basis the library built for the module it is handed (or an equal
+    one) skips the entry check. A basis from dataclasses.replace, one built by
+    hand, or one built for another module is checked in full by
+    to_single_matrix, from_single_matrix, decompose and q_split, and refused
+    with the message the check gives."""
+    field = field_by_name(field_name)
+    rng = random.Random("marks/" + field_name)
+    seen = Counter()
+    for _ in range(40):
+        lm, _, _, _ = gen.random_barcode_morphism(rng, field)
+        phi, _, _ = gen.conjugate_morphism(rng, lm)
+        modules = {"domain": phi.dom, "codomain": phi.cod}
+        built = {side: reduce_to_barcode_basis(m) for side, m in modules.items()}
+        mm = to_single_matrix(phi, built["domain"], built["codomain"])
+        for side, m in modules.items():
+            bb = built[side]
+            copy = dataclasses.replace(bb)
+            assert copy == bb and hash(copy) == hash(bb) and repr(copy) == repr(bb)
+            assert bb._marked_for(m) and not copy._marked_for(m)
+            change = _tampered_change(rng, bb)
+            candidates = {
+                "replaced": dataclasses.replace(bb, change=change),
+                "hand-built": BarcodeBasis(change, bb.barcode, bb.generators, bb.reduced),
+                "foreign": reduce_to_barcode_basis(_same_dims(rng, m)),
+            }
+            for kind, bad in candidates.items():
+                # the full check on a fresh unmarked copy gives the message
+                want = _verdict(_check_basis, _with_change(bad, bad.change.mats), m, side)
+                seen[kind, want and want.replace("codomain", "domain")] += 1
+                if want is None:
+                    continue
+                bases = dict(built, **{side: bad})
+                dom_basis, cod_basis = bases["domain"], bases["codomain"]
+                assert _message(lambda: to_single_matrix(phi, dom_basis, cod_basis)) == want
+                assert _message(lambda: decompose(phi, dom_basis, cod_basis)) == want
+                assert _message(
+                    lambda: from_single_matrix(mm, phi.dom, phi.cod, dom_basis, cod_basis)) == want
+                assert _message(lambda: q_split(m, 2, bad)) == want.replace(side, "source")
+    for kind in ("replaced", "hand-built", "foreign"):
+        assert seen[kind, "domain basis does not reduce the domain module"] >= 5, seen
+    for kind in ("replaced", "hand-built"):
+        assert seen[kind, "singular matrix"] >= 5, seen

@@ -23,6 +23,7 @@ from laddermod import (
     module_from_barcode,
     nestedness,
     offset_origins,
+    q_split,
     reduce_to_barcode_basis,
     shift,
     shift_basis,
@@ -313,20 +314,28 @@ def test_summands_survive_coordinates_and_pivot_rule_at_scale(field_name):
 
 @pytest.mark.parametrize("field_name", ["rational", "prime 5"])
 def test_library_built_bases_pass_the_entry_check(field_name):
-    """Bases the library builds are trusted downstream without a second look,
-    so each must pass the check a caller's basis gets where it enters, and a
-    single matrix over checked bases must rebuild to commuting components."""
+    """Bases the library builds are marked with the module they reduce and
+    trusted downstream without a second look, so each must pass the check a
+    caller's basis gets where it enters, for the module it is marked for: the
+    sweep's, every shift, origin offsets and the q_split bases. A single
+    matrix over checked bases must rebuild to commuting components."""
     field = field_by_name(field_name)
     rng = random.Random("built-bases/" + field_name)
     for _ in range(30):
         m = gen.random_module(rng, field)
         bb = reduce_to_barcode_basis(m)
-        _check_basis(bb, m, "domain")
-        _check_basis(offset_origins(bb, 2), m, "domain")
+        built = [(bb, m), (offset_origins(bb, 2), m)]
         # every shift from off the grid below to off it above, so that bars
         # are clipped at both ends of the grid and some leave it
         for delta in range(-m.grid_len - 1, m.grid_len + 2):
-            _check_basis(shift_basis(bb, delta), shift(m, delta), "domain")
+            shifted = shift_basis(bb, delta)
+            built += [(shifted, shift(m, delta)), (offset_origins(shifted, 1), shift(m, delta))]
+        for q in range(m.grid_len + 2):
+            sp = q_split(m, q, (None, bb)[q % 2])
+            built += [(sp.source_basis, m), (sp.long_basis, sp.long), (sp.short_basis, sp.short)]
+        for basis, module in built:
+            assert basis._marked_for(module)
+            _check_basis(basis, basis.__dict__["_reduces"], "domain")
     for _ in range(20):
         lm, _, _, _ = gen.random_barcode_morphism(rng, field)
         phi, _, _ = gen.conjugate_morphism(rng, lm)
