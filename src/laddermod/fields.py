@@ -11,16 +11,18 @@ makes a raw row canonical (QQ: no common factor, den > 0; F_p: residues over
 den 1). The row ops live here too: _axpy and _scaled for the barcode sweep
 and the basis fold, and _eliminate, the one Gauss-Jordan loop.
 
-A Matrix holds one of two forms. Built by its constructor (parsing, tests,
-callers), it holds the field elements it was given, and the kernels lift them
-again on each use. Built by a kernel (mat_mul, mat_inverse, mat_solve,
-identity, zero, _select, or the raw rows of the sweep and the basis fold), it
+A Matrix holds one of three forms. Built by its constructor (parsing, tests,
+callers), it holds the field elements it was given, and keeps their raw block
+too once a kernel has lifted them. Built by a kernel (mat_mul, mat_inverse,
+mat_solve, _select, or the raw rows of the sweep and the basis fold), it
 holds one canonical raw block for the whole matrix, and boxes its entries
-once, the first time they are read. Products, eliminations, submatrix picks
-(_select), pivot columns (_pivots), equality and hashing run on the raw block,
-so a chain of kernel calls never boxes an intermediate. Only this module
-touches the representation; outside it, only the barcode sweep and the
-basis fold use the raw-row interface.
+once, the first time they are read. A selection (identity, zero, the rigid
+maps of barcode bases) is a 0/1 raw block that also keeps the column of each
+row's 1, so mat_mul multiplies by it by picking rows or columns. Products,
+eliminations, submatrix picks (_select), pivot columns (_pivots), equality
+and hashing run on the raw block, so a chain of kernel calls never boxes an
+intermediate. Only this module touches the representation; outside it, only
+the barcode sweep and the basis fold use the raw-row interface.
 
 No floats anywhere.
 """
@@ -275,12 +277,14 @@ class Matrix:
     """Immutable dense matrix, row-major. Shapes with 0 rows or columns are fine.
 
     It keeps the form it was built in (see the module docstring): the field
-    elements given to the constructor, or the canonical raw block (ints, den)
-    of a kernel result, whose entries are boxed when first read. Equality and
+    elements given to the constructor, with their raw block (ints, den) once
+    lifted; the canonical raw block of a kernel result, whose entries are
+    boxed when first read; or a selection, a 0/1 raw block that also keeps
+    _pick, the column of each row's 1 (None for a zero row). Equality and
     hashing compare values in the field, through the raw block.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "_raw")
+    __slots__ = ("field", "rows", "cols", "_data", "_raw", "_pick")
 
     def __init__(self, field, rows, cols, data):
         data = tuple(data)
@@ -290,7 +294,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = data
-        self._raw = None
+        self._raw = self._pick = None
 
     @classmethod
     def _of_raw(cls, field, rows, cols, ints, den):
@@ -298,8 +302,26 @@ class Matrix:
         the matrix may keep, so the caller must not change it afterwards."""
         m = object.__new__(cls)
         m.field, m.rows, m.cols = field, rows, cols
-        m._data = None
+        m._data = m._pick = None
         m._raw = field._norm(ints, den)
+        return m
+
+    @classmethod
+    def _selection(cls, field, cols, pick):
+        """The 0/1 matrix of width cols whose row i is unit row pick[i], or a
+        zero row for None. A column picked twice is refused, so the matrix is
+        a partial permutation and a product with it is a pick (mat_mul)."""
+        pick = tuple(pick)
+        hit = [j for j in pick if j is not None]
+        if hit and (len(set(hit)) < len(hit) or min(hit) < 0 or max(hit) >= cols):
+            raise ValueError("a selection needs distinct columns in 0..%d" % (cols - 1))
+        ints = [0] * (len(pick) * cols)
+        for i, j in enumerate(pick):
+            if j is not None:
+                ints[i * cols + j] = 1
+        m = object.__new__(cls)
+        m.field, m.rows, m.cols, m._data = field, len(pick), cols, None
+        m._raw, m._pick = (ints, 1), pick  # 0/1 over 1 is canonical in every field
         return m
 
     @classmethod
@@ -315,9 +337,11 @@ class Matrix:
         """The raw block (ints, den) in canonical form, so that equal values
         give equal blocks: a kernel's block is normed when made, and _lift
         already gives canonical form (QQ: over the lcm of the reduced
-        denominators, which leaves no common factor; F_p: residues)."""
-        raw = self._raw
-        return raw if raw is not None else self.field._lift(self._data)
+        denominators, which leaves no common factor; F_p: residues). A lift is
+        kept, so it happens once; one that fails keeps nothing."""
+        if self._raw is None:
+            self._raw = self.field._lift(self._data)
+        return self._raw
 
     def _raw_rows(self):
         """Fresh raw rows (ints, den), all over the block's denominator."""
@@ -354,11 +378,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls._of_raw(field, n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
+        return cls._selection(field, n, range(n))
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls._of_raw(field, rows, cols, [0] * (rows * cols), 1)
+        return cls._selection(field, cols, [None] * rows)
 
     def get(self, i, j):
         return self.data[i * self.cols + j]
@@ -407,13 +431,23 @@ class Matrix:
 
     def _select(self, rows=None, cols=None):
         """Submatrix of the given rows and columns (all when None), in the
-        order given, picked from the raw block without boxing an entry."""
+        order given, picked from the raw block without boxing an entry. A
+        None in rows or cols picks a zero row or column."""
         ints, den = self._block()
         c = self.cols
         rows = range(self.rows) if rows is None else rows
-        cols = range(c) if cols is None else cols
-        picked = [ints[i * c + j] for i in rows for j in cols]
-        return Matrix._of_raw(self.field, len(rows), len(cols), picked, den)
+        width = c if cols is None else len(cols)
+        zero = [0] * width
+        picked = []
+        for i in rows:
+            if i is None:
+                picked += zero
+            elif cols is None:
+                picked += ints[i * c : i * c + c]
+            else:
+                b = i * c
+                picked += [0 if j is None else ints[b + j] for j in cols]
+        return Matrix._of_raw(self.field, len(rows), width, picked, den)
 
 
 def _axpy(field, x, fn, fd, y):
@@ -477,6 +511,18 @@ def mat_mul(a, b):
         raise ValueError("shape mismatch %dx%d * %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     if a.field != b.field:
         raise ValueError("field mismatch")
+    # a selection times b picks rows of b, a times a selection picks columns of a
+    pa, pb = a._pick, b._pick
+    if pa is not None:
+        if pb is not None:
+            return Matrix._selection(a.field, b.cols, [None if i is None else pb[i] for i in pa])
+        return b._select(rows=pa)
+    if pb is not None:
+        col_of = [None] * b.cols
+        for i, j in enumerate(pb):
+            if j is not None:
+                col_of[j] = i
+        return a._select(cols=col_of)
     # each operand is one raw block over a common denominator, so the product
     # is one too: integer dot products over the product of the denominators
     fa, da = a._block()

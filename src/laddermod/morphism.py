@@ -241,16 +241,16 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     if not cod_basis._marked_for(cod):
         _check_basis(cod_basis, cod, "codomain", inverses=True)
     h_inv, g = cod_basis.change.inverses(), dom_basis.change.mats
-    # P is sparse (in matching form, one nonzero per row at most), so P g is
-    # the cheap product and h^-1 (P g) the only dense one
-    comps = [mat_mul(h_inv[t], mat_mul(P, g[t]))
-             for t, P in enumerate(_level_blocks(mm, dom_basis, cod_basis))]
+    # mm may be any single matrix, so each block P_t is multiplied densely
+    comps = [mat_mul(h_inv[t], mat_mul(mm.entries._select(rows, cols), g[t]))
+             for t, (rows, cols) in enumerate(_level_indices(mm, dom_basis, cod_basis))]
     return LadderModule(dom, cod, tuple(comps))
 
 
-def _level_blocks(mm, dom_basis, cod_basis):
-    """P_t at every level t: the block of mm at the generators alive at t, in
-    the order of their positions there."""
+def _level_indices(mm, dom_basis, cod_basis):
+    """(rows, cols) at every level t: the indices of the row and column
+    generators of mm alive at t, in the order of their positions there. The
+    block of mm at them is P_t."""
     if tuple(g.bar for g in mm.col_gens) != tuple(g.bar for g in dom_basis.generators):
         raise ValueError("column generators do not match the domain basis")
     if tuple(g.bar for g in mm.row_gens) != tuple(g.bar for g in cod_basis.generators):
@@ -260,19 +260,22 @@ def _level_blocks(mm, dom_basis, cod_basis):
         return [i for _, i in sorted((g.position_at(t), i) for i, g in enumerate(gens)
                                      if g.bar.contains_index(t))]
 
-    # lift the single matrix once; each level then selects from the raw block
-    entries = mm.entries._select()
-    return [entries._select(alive(cod_basis.generators, t), alive(dom_basis.generators, t))
+    return [(alive(cod_basis.generators, t), alive(dom_basis.generators, t))
             for t in range(dom_basis.reduced.grid_len + 1)]
 
 
 def _unmet_level(mm, lm, dom_basis, cod_basis):
     """The first t with h_t phi_t != P_t g_t, or None when mm presents lm in
-    these bases. Both bases are checked in full, invertibility by rank."""
+    these bases. mm must be in matching form, so each P_t is a selection and
+    P_t g_t picks rows of g_t. Both bases are checked in full, invertibility
+    by rank."""
     _check_basis(dom_basis, lm.dom, "domain", inverses=False)
     _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
     g, h = dom_basis.change.mats, cod_basis.change.mats
-    for t, P in enumerate(_level_blocks(mm, dom_basis, cod_basis)):
+    matched = [next((c for c, x in enumerate(row) if x), None) for row in mm.entries.to_lists()]
+    for t, (rows, cols) in enumerate(_level_indices(mm, dom_basis, cod_basis)):
+        at = {c: k for k, c in enumerate(cols)}
+        P = Matrix._selection(mm.field, len(cols), [at.get(matched[r]) for r in rows])
         if mat_mul(h[t], lm.comps[t]) != mat_mul(P, g[t]):
             return t
     return None

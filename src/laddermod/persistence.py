@@ -325,7 +325,9 @@ def _barcode_module(field, dims, gens):
     """The rigid 0/1 module the generators describe: each generator occupies
     position_at(t) at every level t of its bar, and the map into level t sends
     its position at t-1 to its position at t. None unless the positions fill
-    every level of dims exactly once."""
+    every level of dims exactly once. Each map is a selection (see fields):
+    the row of a generator alive at t-1 and t picks its position at t-1, the
+    row of one born at t is zero."""
     levels = [[] for _ in dims]
     for g in gens:
         if g.bar.a < 0 or g.bar.b >= len(dims):
@@ -334,13 +336,11 @@ def _barcode_module(field, dims, gens):
             levels[t].append(p)
     if any(sorted(ps) != list(range(n)) for ps, n in zip(levels, dims)):
         return None
-    data = [[0] * (dims[t] * dims[t - 1]) for t in range(1, len(dims))]
+    picks = [[None] * n for n in dims]
     for g in gens:
         for t in range(g.bar.a + 1, g.bar.b + 1):
-            data[t - 1][g.position_at(t) * dims[t - 1] + g.position_at(t - 1)] = 1
-    maps = tuple(
-        Matrix._of_raw(field, dims[t], dims[t - 1], data[t - 1], 1) for t in range(1, len(dims))
-    )
+            picks[t][g.position_at(t)] = g.position_at(t - 1)
+    maps = tuple(Matrix._selection(field, dims[t - 1], picks[t]) for t in range(1, len(dims)))
     return PersistenceModule(field, tuple(dims), maps)
 
 

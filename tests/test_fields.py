@@ -389,6 +389,140 @@ def test_select_matches_entry_reads(field):
                     assert [type(x) for x in got.data] == [type(x) for x in want.data]
 
 
+def _partial_permutation(rng, rows, cols):
+    """A pick for Matrix._selection: distinct columns, None for a zero row."""
+    hit = rng.sample(range(cols), rng.randint(0, min(rows, cols)))
+    pick = hit + [None] * (rows - len(hit))
+    rng.shuffle(pick)
+    return pick
+
+
+def _selections(rng, field, rows, cols):
+    """Selections of shape rows x cols: random partial permutations, the
+    zero matrix, and the identity when square."""
+    out = [Matrix._selection(field, cols, _partial_permutation(rng, rows, cols)) for _ in range(3)]
+    out.append(Matrix.zero(field, rows, cols))
+    if rows == cols:
+        out.append(Matrix.identity(field, rows))
+    return out
+
+
+def _dense_reference(a, b):
+    """Entry lists of a b, summed over boxed entries from the field's zero."""
+    zero = a.field.zero()
+    return [[sum((a.get(i, k) * b.get(k, j) for k in range(a.cols)), zero)
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, F5, field_by_name("prime 1000003")], ids=lambda f: f.name
+)
+def test_products_with_selections_match_a_dense_reference(field):
+    rng = random.Random("selection/" + field.name)
+    kind = type(field.zero())
+    shapes = [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 3, 0), (4, 4, 4)]
+    shapes += [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(60)]
+    for r, k, c in shapes:
+        dense_a = Matrix.from_rows(
+            field, [[_random_entry(rng, field) for _ in range(k)] for _ in range(r)], cols=k)
+        dense_b = Matrix.from_rows(
+            field, [[_random_entry(rng, field) for _ in range(c)] for _ in range(k)], cols=c)
+        sel_a, sel_b = _selections(rng, field, r, k), _selections(rng, field, k, c)
+        # a selection is the 0/1 matrix its pick names
+        for s in sel_a:
+            assert s.to_lists() == [[field.one() if j == p else field.zero() for j in range(k)]
+                                    for p in s._pick]
+        pairs = [(s, dense_b) for s in sel_a] + [(dense_a, s) for s in sel_b]
+        pairs += [(s, t) for s in sel_a for t in sel_b]
+        for a, b in pairs:
+            got = mat_mul(a, b)
+            want = _dense_reference(a, b)
+            assert (got.rows, got.cols) == (r, c)
+            assert got.to_lists() == want
+            assert all(type(x) is kind for x in got.data)
+            assert got == Matrix.from_rows(field, want, cols=c)
+            # the product of two selections is one, any other product is not
+            assert (got._pick is not None) == (a._pick is not None and b._pick is not None)
+
+
+def test_selections_pick_each_column_at_most_once():
+    for cols, pick in ((3, [0, 0]), (3, [1, None, 1]), (2, [2]), (2, [-1]), (0, [0])):
+        with pytest.raises(ValueError, match="distinct columns"):
+            Matrix._selection(QQ, cols, pick)
+    assert Matrix._selection(F5, 3, [2, None, 0]) == Matrix.from_int_rows(
+        F5, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.name)
+def test_only_selections_carry_a_pick(field):
+    # a matrix not built as a selection is never taken for one, even when its
+    # values are those of a selection
+    e = Matrix.identity(field, 3)
+    a = Matrix.from_int_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for m in (a, mat_mul(a, a), e._select(), e._select([2, 0], [None, 1]), mat_inverse(e),
+              mat_solve(a, a), Matrix._of_raw(field, 2, 2, [1, 0, 0, 1], 1)):
+        assert m._pick is None
+    assert e._pick == (0, 1, 2) and Matrix.zero(field, 2, 3)._pick == (None, None)
+    assert e._select([2, 0], [None, 1]).to_lists() == Matrix.from_int_rows(
+        field, [[0, 0], [0, 0]]).to_lists()
+    assert e._select([None, 1], [1, None]) == Matrix.from_int_rows(field, [[0, 0], [1, 0]])
+
+
+def test_a_bad_entry_reads_alike_on_the_pick_path():
+    F7 = field_by_name("prime 7")
+    for field, bad in ((QQ, 0.5), (QQ, "1"), (QQ, Fp(1, 5)), (F5, Fraction(1, 2)), (F5, 0.5),
+                       (F7, Fp(2, 5))):
+        one = field.one()
+        a = Matrix(field, 2, 2, [one, bad, one, one])
+        dense = Matrix.from_rows(field, [[one, one], [one, one]])
+        swap = Matrix._selection(field, 2, [1, 0])
+        messages = []
+        for x, y in ((a, dense), (a, swap), (dense, a), (swap, a)):
+            with pytest.raises(ValueError) as err:
+                mat_mul(x, y)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2] == messages[3]
+        assert messages[0] in ("%r is not an element of %s" % (bad, field.name),
+                               "mixed characteristics 7 and 5")
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.name)
+def test_each_input_matrix_is_lifted_once(field, monkeypatch):
+    entries = [field.of(1, 2), 3, field.of(5), field.of(-2), 0, field.of(7, 3)]
+    m = Matrix(field, 2, 3, entries)
+    twin = mat_mul(Matrix.identity(field, 2), Matrix.from_rows(field, [entries[:3], entries[3:]]))
+    dense = mat_mul(Matrix.from_int_rows(field, [[1, 2], [0, 1], [3, 1]]),
+                    Matrix.from_int_rows(field, [[1, 1], [2, 1]]))
+    calls = []
+    lift = field._lift
+    monkeypatch.setattr(field, "_lift", lambda xs: calls.append(xs) or lift(xs))
+    # a dense product, a row pick, a rank, a compare and a hash
+    mat_mul(m, dense)
+    mat_mul(Matrix._selection(field, 2, [1, None]), m)
+    m.rank()
+    assert m == twin and hash(m) == hash(twin)
+    assert len(calls) == 1
+    # the reads are still the caller's own objects, bare ints included
+    assert all(x is y for x, y in zip(m.data, entries))
+    assert type(m.get(0, 1)) is int
+    assert m.data == twin.data
+
+
+def test_a_bad_entry_fails_alike_at_every_use():
+    for field, bad in ((QQ, 0.5), (F5, Fp(1, 7))):
+        m = Matrix(field, 1, 2, [field.one(), bad])
+        uses = (m.rank, lambda: mat_mul(m, Matrix.identity(field, 2)), m.is_zero,
+                lambda: hash(m), lambda: m == Matrix.zero(field, 1, 2), m.rank)
+        messages = set()
+        for use in uses:
+            with pytest.raises(ValueError) as err:
+                use()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        # the entries it was given stay readable
+        assert m.data == (field.one(), bad)
+
+
 def test_entries_outside_the_field_are_refused():
     for field, bad in ((QQ, 0.5), (QQ, "1"), (QQ, Fp(1, 5)), (F5, Fraction(1, 2)), (F5, 0.5)):
         a = Matrix(field, 1, 2, [field.one(), bad])

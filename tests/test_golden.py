@@ -7,10 +7,16 @@ of every matrix entry. The corpus is every file in tests/data, decomposed in
 the bases the CLI builds, and seeded random morphisms between interval modules
 in random coordinates, over QQ and F_5. A change that moves an output on
 purpose records the new digest and says why.
+
+A second digest pins the bytes of the command line: the exit code, stdout and
+stderr of the barcode, decompose, match and verify subcommands, with their
+main options, on every file in tests/data.
 """
 
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
 import random
@@ -26,11 +32,25 @@ from laddermod import (
     reduce_to_barcode_basis,
     shift_basis,
 )
-from laddermod.cli import parse_module_text, parse_morphism_text
+from laddermod.cli import main, parse_module_text, parse_morphism_text
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 RANDOM_PER_FIELD = 20
 DIGEST = "b1a2925d22750ed4fe5235604ebc151df55d8a501c117d35a3d0f6aa2af3f7df"
+CLI_DIGEST = "0ea33d10e99854d76a102af48b7a3173cd16162f232844c18c67c5bc58d4a13f"
+CLI_ARGS = (
+    ["barcode"],
+    ["decompose"],
+    ["decompose", "--q", "2", "--variant", "target"],
+    ["decompose", "--q", "2", "--variant", "source"],
+    ["decompose", "--q", "2", "--variant", "both"],
+    ["decompose", "--pivot-rule", "last"],
+    ["match"],
+    ["match", "--method", "bl"],
+    ["match", "--compare"],
+    ["verify"],
+    ["verify", "--scan-delta-max", "3"],
+)
 
 
 def _matrix(m):
@@ -113,3 +133,25 @@ def corpus_digest():
 
 def test_outputs_match_the_recorded_digest():
     assert corpus_digest() == DIGEST
+
+
+def cli_digest():
+    """sha256 over (command, exit code, stdout, stderr) of every CLI_ARGS
+    command on every data file, run in process from tests/data so that the
+    file names the commands print are the bare names."""
+    runs = []
+    for name in sorted(os.listdir(DATA_DIR)):
+        if not name.endswith(".txt"):
+            continue
+        for args in CLI_ARGS:
+            argv = [args[0], name] + args[1:]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            runs.append([argv, code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+def test_cli_bytes_match_the_recorded_digest(monkeypatch):
+    monkeypatch.chdir(DATA_DIR)
+    assert cli_digest() == CLI_DIGEST
