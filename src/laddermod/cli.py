@@ -252,13 +252,10 @@ def print_morphism(doc):
     out.extend(_module_lines(doc.dom))
     out.append("codomain")
     out.extend(_module_lines(doc.cod))
-    out.append("components")
-    for t, comp in enumerate(doc.comps):
-        out.append("comp %d" % t)
-        out.extend(_fmt_matrix_lines(comp))
-    if doc.inverse_comps:
-        out.append("inverse")
-        for t, comp in enumerate(doc.inverse_comps):
+    for head, comps in (("components", doc.comps), ("inverse", doc.inverse_comps)):
+        if comps:
+            out.append(head)
+        for t, comp in enumerate(comps):
             out.append("comp %d" % t)
             out.extend(_fmt_matrix_lines(comp))
     return "\n".join(out) + "\n"
@@ -542,13 +539,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except ValueError as e:
+    except (ParseError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
 

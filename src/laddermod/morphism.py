@@ -11,6 +11,7 @@ the two bars overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 # The inverses come from BasisChange.inverses(); mat_inverse is imported for
 # the traced benchmark run (bench/workloads.py), which rebinds it in this module.
@@ -177,7 +178,7 @@ def _check_basis(basis, module, which, inverses=True):
         basis.change.inverses()
     else:
         basis.change._prove_invertible()
-    if module.grid_len and any(x.field != module.field for x in g):
+    if any(x.field != module.field for x in g):
         raise ValueError("field mismatch")
     if red.field != module.field or red.dims != module.dims or (
         validate_ladder(LadderModule(module, red, g)) is not None
@@ -197,9 +198,10 @@ def to_single_matrix(lm, dom_basis, cod_basis):
     phi does, and validate_ladder on P proves it. R and S carry each bar to
     itself while it lives, so P commutes exactly when each entry M(K, J) is
     the same at every level where both bars live and is zero unless
-    K.a <= J.a <= K.b <= J.b. Each entry is therefore read once, at the
-    first level where both bars live. A basis is checked unless the library
-    built it for that endpoint (see BarcodeBasis)."""
+    K.a <= J.a <= K.b <= J.b: outside the codomain bars alive at J.a, column
+    J is zero. It is read once, at J.a, by one pick from P_t for all the
+    columns born at t (lexicographic order keeps them together). A basis is
+    checked unless the library built it for that endpoint (see BarcodeBasis)."""
     if not dom_basis._marked_for(lm.dom):
         _check_basis(dom_basis, lm.dom, "domain", inverses=True)
     if not cod_basis._marked_for(lm.cod):
@@ -212,17 +214,13 @@ def to_single_matrix(lm, dom_basis, cod_basis):
     bad = validate_ladder(LadderModule(dom_basis.reduced, cod_basis.reduced, tuple(P)))
     if bad is not None:
         raise ValueError("the components do not define a morphism: %s" % bad)
-    zero = lm.dom.field.zero()
-    rows = []
-    for rg in cod_basis.generators:
-        row = []
-        for cg in dom_basis.generators:
-            t = max(rg.bar.a, cg.bar.a)
-            if t <= min(rg.bar.b, cg.bar.b):
-                row.append(P[t].get(rg.position_at(t), cg.position_at(t)))
-            else:
-                row.append(zero)
-        rows.append(row)
+    rows = [[] for _ in cod_basis.generators]
+    for t, born in groupby(dom_basis.generators, key=lambda g: g.bar.a):
+        alive = [g.position_at(t) if g.bar.contains_index(t) else None
+                 for g in cod_basis.generators]
+        block = P[t]._select(alive, [g.positions[0] for g in born])
+        for row, picked in zip(rows, block.to_lists()):
+            row += picked
     entries = Matrix.from_rows(lm.dom.field, rows, cols=len(dom_basis.generators))
     return MorphismMatrix(tuple(cod_basis.generators), tuple(dom_basis.generators), entries)
 
@@ -327,8 +325,9 @@ class TriangleFailure:
 def check_delta_invertible(phi, psi, delta):
     """Verify psi is a delta-inverse of phi: V -> W.
 
-    Requires psi: W -> V(2 delta). Both composite families must equal the
-    structure maps across 2 delta. Returns a certificate or the first failure.
+    Requires psi: W -> V(2 delta). The triangles are the ladder equations
+    psi . phi = inner_ladder(V, 2 delta) and phi(2 delta) . psi =
+    inner_ladder(W, 2 delta). Returns a certificate or the first failure.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -339,33 +338,19 @@ def check_delta_invertible(phi, psi, delta):
         return TriangleFailure(
             "shape", -1, "inverse codomain is not the domain shifted by %d" % (2 * delta)
         )
-    l = V.grid_len
-    dom_comp = []
-    cod_comp = []
-    for t in range(l + 1):
-        got = mat_mul(psi.comps[t], phi.comps[t])
-        if t + 2 * delta <= l:
-            want = V.inner_matrix(t, t + 2 * delta)
-        else:
-            want = Matrix.zero(V.field, 0, V.dims[t])
+    dom_comp = compose_ladder(psi, phi).comps
+    for t, (got, want) in enumerate(zip(dom_comp, inner_ladder(V, 2 * delta).comps)):
         if got != want:
             return TriangleFailure(
                 "domain", t, "psi_t . phi_t differs from the structure map across 2*delta"
             )
-        dom_comp.append(got)
-    for t in range(l + 1):
-        if t + 2 * delta <= l:
-            got = mat_mul(phi.comps[t + 2 * delta], psi.comps[t])
-            want = W.inner_matrix(t, t + 2 * delta)
-        else:
-            got = Matrix.zero(W.field, 0, W.dims[t])
-            want = got
+    cod_comp = compose_ladder(shift_morphism(phi, 2 * delta), psi).comps
+    for t, (got, want) in enumerate(zip(cod_comp, inner_ladder(W, 2 * delta).comps)):
         if got != want:
             return TriangleFailure(
                 "codomain", t, "phi_(t+2*delta) . psi_t differs from the structure map"
             )
-        cod_comp.append(got)
-    return InterleavingCertificate(delta, tuple(dom_comp), tuple(cod_comp))
+    return InterleavingCertificate(delta, dom_comp, cod_comp)
 
 
 def check_interleaving(phi, psi, delta):

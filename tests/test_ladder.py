@@ -663,3 +663,24 @@ def test_readme_library_quick_start():
         "['pair [0,4] -> [1,5] x1', 'pair [1,7] -> [1,6] x1']",
         "1",
     ]
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_decompose_with_an_empty_side(field_name):
+    # a module with no bars gives a single matrix with no rows or no columns
+    field = field_by_name(field_name)
+    V = module_from_barcode(field, 3, [])
+    W = module_from_barcode(field, 3, [I(0, 2), I(1, 3)])
+    for dom, cod, shape, kinds in [
+        (V, W, (2, 0), {"I-"}),
+        (W, V, (0, 2), {"I+"}),
+        (V, V, (0, 0), set()),
+    ]:
+        comps = tuple(Matrix.zero(field, r, c) for r, c in zip(cod.dims, dom.dims))
+        lm = LadderModule(dom, cod, comps)
+        dec = decompose(lm)
+        assert isinstance(dec, LadderDecomposition)
+        assert (dec.matching.entries.rows, dec.matching.entries.cols) == shape
+        summands = dec.summands()
+        assert {s.split()[0] for s in summands} == kinds and len(summands) == max(shape)
+        assert verify_decomposition(lm, dec) is None

@@ -191,8 +191,8 @@ def test_triangle_failure_localizes(running):
 
 
 def test_codomain_triangle_failure(running):
-    # identity on V checked against a psi that is not its inverse: scale one
-    # phi component so the codomain triangle breaks first
+    # phi = 2 * identity on V against psi = identity / 3: psi . phi is
+    # 2/3 * identity, so the domain triangle, checked first, breaks first
     V = running.V
     two = QQ.of(2)
     comps = tuple(
@@ -221,6 +221,23 @@ def test_codomain_triangle_failure(running):
     assert res.side == "domain"
 
 
+def test_codomain_triangle_failure_is_named():
+    # phi includes [0,3] into [0,3] + [2,3] and psi projects back: psi . phi is
+    # the identity on V, but phi . psi kills [2,3], so the codomain triangle
+    # first breaks where that bar is born
+    V = module_from_barcode(QQ, 3, [I(0, 3)])
+    W = module_from_barcode(QQ, 3, [I(0, 3), I(2, 3)])
+    incl = [[[1]], [[1]], [[1], [0]], [[1], [0]]]
+    phi = LadderModule.from_int_comps(V, W, incl)
+    psi = LadderModule.from_int_comps(W, V, [[[1] + [0] * (len(c) - 1)] for c in incl])
+    res = check_delta_invertible(phi, psi, 0)
+    assert isinstance(res, TriangleFailure)
+    assert (res.side, res.index) == ("codomain", 2)
+    assert str(res) == (
+        "triangle codomain t=2: phi_(t+2*delta) . psi_t differs from the structure map"
+    )
+
+
 def test_delta_must_be_nonnegative(running):
     with pytest.raises(ValueError):
         check_delta_invertible(running.phi, running.psi_on, -1)
@@ -228,6 +245,15 @@ def test_delta_must_be_nonnegative(running):
 
 def _with_change(basis, mats):
     return BarcodeBasis(BasisChange(tuple(mats)), basis.barcode, basis.generators, basis.reduced)
+
+
+def test_one_level_basis_over_another_field_is_refused():
+    V = module_from_barcode(QQ, 0, [I(0, 0), I(0, 0)])
+    basis = _with_change(reduce_to_barcode_basis(V), [Matrix.identity(field_by_name("prime 5"), 2)])
+    with pytest.raises(ValueError, match="field mismatch"):
+        _check_basis(basis, V, "source")
+    with pytest.raises(ValueError, match="field mismatch"):
+        q_split(V, 0, basis)
 
 
 def _bad_basis(kind, basis, foreign):
