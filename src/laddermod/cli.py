@@ -110,19 +110,20 @@ def _parse_ints(ls, line, prefix):
 
 
 def _parse_matrix(ls, field, rows, cols, what):
-    data = []
-    for _ in range(rows):
-        line = ls.next("a row of %s" % what)
-        toks = line.split()
-        if len(toks) != cols:
-            raise ParseError(
-                ls.lineno, "%s: expected %d entries, got %d" % (what, cols, len(toks))
-            )
-        try:
-            data.append([field.parse(tok) for tok in toks])
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(ls.lineno, "%s: %s" % (what, e))
-    return Matrix.from_rows(field, data, cols=cols)
+    def token_rows():
+        for _ in range(rows):
+            toks = ls.next("a row of %s" % what).split()
+            if len(toks) != cols:
+                raise ParseError(
+                    ls.lineno, "%s: expected %d entries, got %d" % (what, cols, len(toks))
+                )
+            yield toks
+
+    # a bad entry is refused while its row is the last one read
+    try:
+        return Matrix._parse(field, cols, token_rows())
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(ls.lineno, "%s: %s" % (what, e))
 
 
 def _parse_module_body(ls):

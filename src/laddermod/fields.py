@@ -9,19 +9,22 @@ rows, pairs (ints, den) of plain integers for the entries ints[k] / den. A
 field's _lift and _drop convert its elements to and from raw rows, and _norm
 makes a raw row canonical (QQ: no common factor, den > 0; F_p: residues over
 den 1). The row ops live here too: _axpy and _scaled for the barcode sweep
-and the basis fold, and _eliminate, the one Gauss-Jordan loop.
+and the basis fold, and _eliminate, the one Gauss-Jordan loop. Over QQ,
+Matrix.rank first seeks full rank modulo one fixed prime below 2^30, which
+proves the rank exactly when it is found, and runs _eliminate only when it
+is not.
 
-A Matrix holds one of three forms. Built by its constructor (parsing, tests,
+A Matrix holds one of three forms. Built by its constructor (tests,
 callers), it holds the field elements it was given, and keeps their raw block
 too once a kernel has lifted them. Built by a kernel (mat_mul, mat_inverse,
-mat_solve, _select, or the raw rows of the sweep and the basis fold), it
-holds one canonical raw block for the whole matrix, and boxes its entries
-once, the first time they are read. A selection (identity, zero, the rigid
-maps of barcode bases) is a 0/1 raw block that also keeps the column of each
-row's 1, so mat_mul multiplies by it by picking rows or columns. Products,
-eliminations, submatrix picks (_select), pivot columns (_pivots), equality
-and hashing run on the raw block, so a chain of kernel calls never boxes an
-intermediate. Only this module touches the representation; outside it, only
+mat_solve, _select, or the raw rows of the sweep and the basis fold) or by
+the parser (_parse), it holds one canonical raw block for the whole matrix,
+and boxes its entries once, the first time they are read. A selection
+(identity, zero, the rigid maps of barcode bases) is a 0/1 raw block that
+also keeps the column of each row's 1, so mat_mul multiplies by it by
+picking rows or columns. Products, eliminations, submatrix picks
+(_select), pivot columns (_pivots), equality and hashing run on the raw
+block, so a chain of kernel calls never boxes an intermediate. Only this module touches the representation; outside it, only
 the barcode sweep and the basis fold use the raw-row interface.
 
 No floats anywhere.
@@ -39,6 +42,16 @@ _num, _den, _res, _char = (attrgetter(a) for a in ("numerator", "denominator", "
 # A number with an exponent: Fraction expands 1e999999999 into a billion-digit
 # integer, so such tokens are refused before they reach it.
 _EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE]")
+# The file grammar of an entry, in ASCII only: an integer or one fraction n/d
+# in both fields, and a plain decimal over QQ. Fraction and int would also take
+# digit separators (1_0, for int and for Fraction from Python 3.11) and
+# non-ASCII digits, which the printer would not give back.
+_FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+# The prime of the rank certificate (Matrix.rank). It is below 2^30, so each
+# residue is one digit of a CPython int; _is_prime(2**30 - 35) holds.
+_CERT_P = 2**30 - 35
 
 
 class Fp:
@@ -164,6 +177,8 @@ class RationalField:
     def parse(self, text):
         if _EXPONENT.match(text):
             raise ValueError("exponent notation is not accepted in %r" % text)
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError("Invalid literal for Fraction: %r" % text)
         return Fraction(text)
 
     def fmt(self, x):
@@ -216,12 +231,14 @@ class PrimeField:
         return Fp(n, self.p) / Fp(d, self.p)
 
     def parse(self, text):
-        if "/" in text:
+        if not _FRACTION.fullmatch(text):
             parts = text.split("/")
-            if len(parts) != 2:
-                raise ValueError("%r is neither an integer nor one fraction n/d" % text)
-            return self.of(int(parts[0]), int(parts[1]))
-        return Fp(int(text), self.p)
+            if len(parts) <= 2:
+                for part in parts:
+                    int(part)  # a part that is no integer at all keeps int's message
+            raise ValueError("%r is neither an integer nor one fraction n/d" % text)
+        n, _, d = text.partition("/")
+        return self.of(int(n), int(d)) if d else Fp(int(n), self.p)
 
     def fmt(self, x):
         return str(x.v)
@@ -278,10 +295,10 @@ class Matrix:
 
     It keeps the form it was built in (see the module docstring): the field
     elements given to the constructor, with their raw block (ints, den) once
-    lifted; the canonical raw block of a kernel result, whose entries are
-    boxed when first read; or a selection, a 0/1 raw block that also keeps
-    _pick, the column of each row's 1 (None for a zero row). Equality and
-    hashing compare values in the field, through the raw block.
+    lifted; the canonical raw block of a kernel result or of parsed tokens,
+    whose entries are boxed when first read; or a selection, a 0/1 raw block
+    that also keeps _pick, the column of each row's 1 (None for a zero row).
+    Equality and hashing compare values in the field, through the raw block.
     """
 
     __slots__ = ("field", "rows", "cols", "_data", "_raw", "_pick")
@@ -332,6 +349,26 @@ class Matrix:
         for n, d in raw_rows:
             ints.extend(n if d == den else [x * (den // d) for x in n])
         return cls._of_raw(field, len(raw_rows), cols, ints, den)
+
+    @classmethod
+    def _parse(cls, field, cols, token_rows):
+        """Matrix of an iterable of rows of entry tokens, each row of width
+        cols, read straight to one raw block. A row of ASCII integers, the
+        common case, goes to its integers with no field element built; any
+        other row goes through field.parse, which refuses the first token
+        outside the file grammar, so the error comes before the next row is
+        read."""
+        raw_rows = []
+        for toks in token_rows:
+            line = "".join(toks)
+            if line.isascii() and "_" not in line:
+                try:
+                    raw_rows.append(([int(t) for t in toks], 1))
+                    continue
+                except ValueError:
+                    pass  # a fraction or a decimal, or a token to refuse
+            raw_rows.append(field._lift([field.parse(t) for t in toks]))
+        return cls._from_raw_rows(field, raw_rows, cols)
 
     def _block(self):
         """The raw block (ints, den) in canonical form, so that equal values
@@ -423,6 +460,15 @@ class Matrix:
         return not any(self._block()[0])
 
     def rank(self):
+        """The rank. Over QQ, full rank modulo the fixed prime _CERT_P is
+        sought first, on the integer block, whose rank over QQ is the
+        matrix's whatever its denominator. A minor that is nonzero mod p is a
+        nonzero integer, so rank mod p <= rank <= min(rows, cols), and full
+        rank mod p is the rank, exactly, with no randomness. A QQ matrix that
+        p leaves short of full rank, and every F_p matrix, goes through the
+        exact elimination."""
+        if self.field == QQ and _full_rank_mod(self._block()[0], self.rows, self.cols):
+            return min(self.rows, self.cols)
         return len(self._pivots())
 
     def _pivots(self):
@@ -448,6 +494,36 @@ class Matrix:
                 b = i * c
                 picked += [0 if j is None else ints[b + j] for j in cols]
         return Matrix._of_raw(self.field, len(rows), width, picked, den)
+
+
+def _full_rank_mod(ints, rows, cols):
+    """Whether the integer block ints (rows x cols, row-major) has rank
+    min(rows, cols) modulo _CERT_P. Forward elimination on residues that
+    drops each column once it is done, and stops at the first column without
+    a pivot that full rank cannot spare."""
+    p = _CERT_P
+    rest = [[x % p for x in ints[i * cols : i * cols + cols]] for i in range(rows)]
+    spare = cols - min(rows, cols)
+    for _ in range(cols):
+        for k, r in enumerate(rest):
+            if r[0]:
+                break
+        else:
+            spare -= 1
+            if spare < 0:
+                return False
+            for r in rest:
+                del r[0]
+            continue
+        piv = rest.pop(k)
+        inv = pow(piv[0], -1, p)
+        tail = piv[1:]
+        for i, r in enumerate(rest):
+            f = r.pop(0)
+            if f:
+                f = f * inv % p
+                rest[i] = [(x - f * y) % p for x, y in zip(r, tail)]
+    return True
 
 
 def _axpy(field, x, fn, fd, y):

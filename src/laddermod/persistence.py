@@ -206,7 +206,10 @@ class BasisChange:
         return invs
 
     def _prove_invertible(self):
-        """Raise ValueError unless every g_t is invertible, by rank alone. The
+        """Raise ValueError unless every g_t is invertible, by rank alone. Over
+        QQ a level that has full rank modulo Matrix.rank's fixed prime needs
+        no exact elimination; only one that the prime leaves singular gets
+        one, so a singular level is still refused as "singular matrix". The
         verdict is kept next to the inverses (which prove it too) and cannot
         go stale, so a second call costs nothing."""
         if "_inverses" in self.__dict__ or "_invertible" in self.__dict__:

@@ -308,6 +308,29 @@ def test_scalar_with_exponent_exits_1(data_dir, tmp_path, capsys):
         assert code == 0 and out.startswith("[0,4]")
 
 
+def test_entries_follow_one_ascii_grammar(data_dir, tmp_path, capsys):
+    # int, and Fraction from Python 3.11, read digit separators, and both read
+    # non-ASCII digits, which the printer writes back in ASCII; int also reads
+    # a signed denominator, which QQ refuses. Neither field takes any of them.
+    refused = {
+        "V.txt": ("Invalid literal for Fraction: %r",
+                  ["1_0", "1/1_0", "\uff12", "\u0663", "1/\uff12", "1/-2", "1/+2"]),
+        "mod5.txt": ("%r is neither an integer nor one fraction n/d",
+                     ["1_0", "1/1_0", "\uff12", "\u0663", "1/\uff12", "1/-2", "1/+2", "1/-0"]),
+    }
+    for name, (message, toks) in refused.items():
+        for tok in toks:
+            path = _with_line(data_dir, tmp_path, name, 5, tok)
+            assert main(["barcode", path]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: line 5: map 1: %s\n" % (message % tok), tok
+    # signs, leading zeros and fractions of ASCII digits still parse in both
+    for name in refused:
+        for tok in ("+1", "-3", "007", "+1/2", "-1/2", "2/4"):
+            code, out = run_cli("barcode", _with_line(data_dir, tmp_path, name, 5, tok))
+            assert code == 0, (name, tok)
+
+
 def test_prime_field_scalar_with_two_slashes_exits_1(data_dir, tmp_path, capsys):
     path = _with_line(data_dir, tmp_path, "mod5.txt", 5, "1/2/3")
     assert main(["barcode", path]) == 1

@@ -1,22 +1,30 @@
 """Exact field and matrix arithmetic."""
 
+import dataclasses
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gen
 from laddermod import (
+    BasisChange,
     Fp,
+    LadderDecomposition,
     Matrix,
     QQ,
+    decompose,
     field_by_name,
     is_barcode_form,
     mat_inverse,
     mat_mul,
     mat_solve,
+    verify_decomposition,
 )
-from laddermod.fields import _eliminate
+from laddermod import fields
+from laddermod.fields import _CERT_P, _eliminate
 
 from gen import FIELDS, random_invertible, random_matrix
 
@@ -49,6 +57,26 @@ def test_prime_field_basics():
     assert F5.name == "prime 5"
     with pytest.raises(ZeroDivisionError):
         F5.one() / F5.zero()
+
+
+def test_parse_takes_ascii_entries_alone():
+    assert QQ.parse("+1/2") == Fraction(1, 2) and QQ.parse("-.25") == Fraction(-1, 4)
+    assert QQ.parse("007") == 7 and QQ.parse("1.") == 1
+    assert F5.parse("-1/2") == F5.of(-1, 2) and F5.parse("+7") == F5.of(2)
+    for tok in ("1_0", "\uff12", "1/-2", " 1", "", "1.5/2", "."):
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+            QQ.parse(tok)
+    for tok in ("1_0", "\uff12", "1/-2", "1/+2", " 1"):
+        with pytest.raises(ValueError, match="is neither an integer nor one fraction n/d$"):
+            F5.parse(tok)
+    # tokens that were never integers keep int's message
+    for tok, part in (("x", "x"), ("1/x", "x"), ("0.5", "0.5"), ("", "")):
+        with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: %r$" % part):
+            F5.parse(tok)
+    with pytest.raises(ZeroDivisionError):
+        F5.parse("1/5")
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
 
 
 def test_prime_field_rejects_composite_modulus():
@@ -177,6 +205,127 @@ def test_prime_field_matrix_ops():
     # determinant 2*3 - 1*1 = 5 vanishes mod 5 though not over the integers
     assert Matrix.from_int_rows(F5, [[2, 1], [1, 3]]).rank() == 1
     assert Matrix.from_int_rows(F5, [[5]]).rank() == 0
+
+
+def _counting_eliminations(monkeypatch):
+    calls = []
+    eliminate = fields._eliminate
+
+    def counted(work, ncols, field):
+        calls.append(ncols)
+        return eliminate(work, ncols, field)
+
+    monkeypatch.setattr(fields, "_eliminate", counted)
+    return calls
+
+
+def test_rank_certificate_mod_p_and_its_exact_fallback(monkeypatch):
+    p = _CERT_P
+    eliminations = _counting_eliminations(monkeypatch)
+    # full rank modulo p proves full rank over QQ, with no exact elimination
+    for rows in ([[1, 2], [3, 4]], [[1, 2, 3]], [[1], [p], [0]], [[QQ.of(1, p), 0], [0, QQ.of(1, p)]]):
+        m = Matrix.from_rows(QQ, [[QQ.of(x) for x in row] for row in rows])
+        assert m.rank() == min(m.rows, m.cols)
+    assert eliminations == []
+    # invertible over QQ but singular mod p: the exact fallback finds full rank,
+    # whether p divides an entry of the integer block or its denominator
+    for rows in ([[p, 0], [0, 1]], [[QQ.of(1, p), 0], [0, 1]], [[1, 1], [1, 1 + p]]):
+        m = Matrix.from_rows(QQ, [[QQ.of(x) for x in row] for row in rows])
+        assert m.rank() == 2
+    assert len(eliminations) == 3
+    # singular over QQ, with entries that are multiples of p
+    eliminations.clear()
+    singular = Matrix.from_int_rows(QQ, [[p, 2 * p], [1, 2]])
+    assert singular.rank() == 1
+    assert len(eliminations) == 1
+    # F_p matrices keep the exact path
+    eliminations.clear()
+    assert Matrix.from_int_rows(F5, [[1, 2], [3, 4]]).rank() == 2
+    assert len(eliminations) == 1
+
+
+def test_singular_level_still_reads_singular_matrix(running):
+    p = _CERT_P
+    # the first level is invertible over QQ and the second singular, whether
+    # or not the first is invertible mod p
+    for mats in (
+        (Matrix.from_int_rows(QQ, [[p, 0], [0, 1]]), Matrix.from_int_rows(QQ, [[p, 2 * p], [1, 2]])),
+        (Matrix.identity(QQ, 1), Matrix.from_int_rows(QQ, [[1, 1], [1, 1]])),
+    ):
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            BasisChange(mats)._prove_invertible()
+    phi, _, _ = gen.conjugate_morphism(random.Random("singular-level"), running.phi)
+    dec = decompose(phi)
+    assert isinstance(dec, LadderDecomposition)
+    assert verify_decomposition(phi, dec) is None
+    t = next(t for t, g in enumerate(dec.dom_basis.change.mats) if g.rows >= 2)
+    g = dec.dom_basis.change.mats[t].to_lists()
+    g[1] = [x * p for x in g[0]]  # singular over QQ and mod p: the fallback decides
+    mats = list(dec.dom_basis.change.mats)
+    mats[t] = Matrix.from_rows(QQ, g)
+    bad = dataclasses.replace(
+        dec, dom_basis=dataclasses.replace(dec.dom_basis, change=BasisChange(tuple(mats))))
+    assert verify_decomposition(phi, bad) == "reconstruction failed: singular matrix"
+
+
+def _exact_rank(rows):
+    """Gaussian elimination on Fractions: the reference for Matrix.rank."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+# entries that meet the certificate's prime: multiples of p, p in a
+# denominator, and values that agree with others mod p
+_ENTRY = st.sampled_from([0, 0, 1, -1, 2, 3, _CERT_P, -_CERT_P, 2 * _CERT_P, _CERT_P + 1,
+                          Fraction(1, _CERT_P), Fraction(_CERT_P, 3), Fraction(-1, 2)])
+
+
+@st.composite
+def _qq_matrices(draw):
+    """Rows of a random QQ matrix, often rank-deficient: a product of a
+    rows x k and a k x cols factor, any shape including 0 rows or columns."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    k = draw(st.integers(0, max(rows, cols)))
+    left = [[draw(_ENTRY) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(_ENTRY) for _ in range(cols)] for _ in range(k)]
+    return rows, cols, [
+        [sum((Fraction(left[i][x]) * right[x][j] for x in range(k)), Fraction(0)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qq_matrices())
+def test_rank_matches_exact_reference(shape_rows):
+    rows, cols, entries = shape_rows
+    m = Matrix.from_rows(QQ, entries, cols=cols)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.rank() == _exact_rank(entries) == len(m._pivots())
+
+
+def test_verify_proves_ranks_without_exact_elimination(monkeypatch, running):
+    # the folded bases of a conjugated decomposition are invertible mod p, so
+    # the verifier's rank proofs need no exact elimination at all
+    phi, _, _ = gen.conjugate_morphism(random.Random("certificate"), running.phi)
+    dec = decompose(phi)
+    assert isinstance(dec, LadderDecomposition)
+    ranked = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: ranked.append(self) or rank(self))
+    eliminations = _counting_eliminations(monkeypatch)
+    assert verify_decomposition(phi, dec) is None
+    assert len(ranked) == 2 * (phi.grid_len + 1)
+    assert eliminations == []
 
 
 def _transpose(a):
