@@ -181,7 +181,11 @@ def print_module(m):
 @dataclass(frozen=True)
 class MorphismDoc:
     """Parsed morphism file: unshifted endpoints, declared delta, components
-    of dom_t -> cod_(t+delta), and the optional candidate inverse."""
+    of dom_t -> cod_(t+delta), and the optional candidate inverse.
+
+    phi() and psi() build their ladder once and return that same instance
+    after, kept outside the dataclass fields; parse_morphism_text marks the
+    ones it validated as commuting (see LadderModule)."""
 
     dom: PersistenceModule
     cod: PersistenceModule
@@ -189,13 +193,20 @@ class MorphismDoc:
     comps: tuple
     inverse_comps: tuple  # () when absent
 
+    def _ladder(self, key, src, dst, comps):
+        lm = self.__dict__.get(key)
+        if lm is None:
+            lm = LadderModule(src, shift(dst, self.delta), comps)
+            object.__setattr__(self, key, lm)
+        return lm
+
     def phi(self):
-        return LadderModule(self.dom, shift(self.cod, self.delta), self.comps)
+        return self._ladder("_phi", self.dom, self.cod, self.comps)
 
     def psi(self):
         if not self.inverse_comps:
             raise ValueError("no inverse components in the file")
-        return LadderModule(self.cod, shift(self.dom, self.delta), self.inverse_comps)
+        return self._ladder("_psi", self.cod, self.dom, self.inverse_comps)
 
 
 def _parse_comp_blocks(ls, src, dst, delta, what):
@@ -238,13 +249,14 @@ def parse_morphism_text(text):
     if ls.peek() is not None:
         raise ParseError(ls.lineno + 1, "trailing content '%s'" % ls.peek())
     doc = MorphismDoc(dom, cod, delta, comps, inverse)
-    bad = validate_ladder(doc.phi())
-    if bad is not None:
-        raise ParseError(ls.lineno, "components: %s" % bad)
+    checks = [("components", doc.phi())]
     if inverse:
-        bad = validate_ladder(doc.psi())
+        checks.append(("inverse", doc.psi()))
+    for what, lm in checks:
+        bad = validate_ladder(lm)
         if bad is not None:
-            raise ParseError(ls.lineno, "inverse: %s" % bad)
+            raise ParseError(ls.lineno, "%s: %s" % (what, bad))
+        lm._mark()
     return doc
 
 

@@ -78,10 +78,10 @@ def _build_part(m, basis, sel_gens):
         BasisChange.identity(field, dims), Barcode([g.bar for g in gens]), gens, part
     )._mark(part)
     # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
-    # the generators lay out basis.reduced, so both commute with it
+    # the generators lay out basis.reduced, so both commute and are marked so
     g, g_inv = basis.change.mats, basis.change.inverses()
-    pr = LadderModule(m, part, tuple(x._select(rows=ps) for x, ps in zip(g, alive)))
-    inc = LadderModule(part, m, tuple(x._select(cols=ps) for x, ps in zip(g_inv, alive)))
+    pr = LadderModule(m, part, tuple(x._select(rows=ps) for x, ps in zip(g, alive)))._mark()
+    inc = LadderModule(part, m, tuple(x._select(cols=ps) for x, ps in zip(g_inv, alive)))._mark()
     return part, part_basis, pr, inc
 
 

@@ -48,6 +48,20 @@ _EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE]")
 # non-ASCII digits, which the printer would not give back.
 _FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 _RATIONAL = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+# The most digits in a row an entry may have (integer part, decimal part or
+# denominator): Python's default limit on int-string conversion, which int and
+# Fraction would otherwise enforce with their own message (its wording differs
+# between Python 3.10 and 3.11+). A run counts digits of any script, and the
+# underscores int accepts between them do not break it.
+_MAX_DIGITS = 4300
+_DIGIT_RUN = re.compile(r"[\d_]+")
+
+
+def _refuse_long_digit_runs(text):
+    if len(text) > _MAX_DIGITS and any(
+        len(run) - run.count("_") > _MAX_DIGITS for run in _DIGIT_RUN.findall(text)
+    ):
+        raise ValueError("an entry may have at most %d digits in a row" % _MAX_DIGITS)
 
 # The prime of the rank certificate (Matrix.rank). It is below 2^30, so each
 # residue is one digit of a CPython int; _is_prime(2**30 - 35) holds.
@@ -175,6 +189,7 @@ class RationalField:
         return Fraction(n, d)
 
     def parse(self, text):
+        _refuse_long_digit_runs(text)
         if _EXPONENT.match(text):
             raise ValueError("exponent notation is not accepted in %r" % text)
         if not _RATIONAL.fullmatch(text):
@@ -231,6 +246,7 @@ class PrimeField:
         return Fp(n, self.p) / Fp(d, self.p)
 
     def parse(self, text):
+        _refuse_long_digit_runs(text)
         if not _FRACTION.fullmatch(text):
             parts = text.split("/")
             if len(parts) <= 2:
@@ -355,13 +371,15 @@ class Matrix:
         """Matrix of an iterable of rows of entry tokens, each row of width
         cols, read straight to one raw block. A row of ASCII integers, the
         common case, goes to its integers with no field element built; any
-        other row goes through field.parse, which refuses the first token
-        outside the file grammar, so the error comes before the next row is
-        read."""
+        other row, and one with a token longer than _MAX_DIGITS, goes through
+        field.parse, which refuses the first token outside the file grammar,
+        so the error comes before the next row is read."""
         raw_rows = []
         for toks in token_rows:
             line = "".join(toks)
-            if line.isascii() and "_" not in line:
+            if line.isascii() and "_" not in line and (
+                len(line) <= _MAX_DIGITS or max(map(len, toks)) <= _MAX_DIGITS
+            ):
                 try:
                     raw_rows.append(([int(t) for t in toks], 1))
                     continue

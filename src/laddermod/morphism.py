@@ -15,7 +15,7 @@ from itertools import groupby
 
 # The inverses come from BasisChange.inverses(); mat_inverse is imported for
 # the traced benchmark run (bench/workloads.py), which rebinds it in this module.
-from .fields import Matrix, mat_inverse, mat_mul
+from .fields import Matrix, mat_inverse, mat_mul, mat_solve
 from .persistence import (
     Barcode,
     _barcode_module,
@@ -27,7 +27,14 @@ from .persistence import (
 
 @dataclass(frozen=True)
 class LadderModule:
-    """Componentwise morphism dom -> cod over the same grid."""
+    """Componentwise morphism dom -> cod over the same grid.
+
+    A ladder known to commute is marked (_mark): the ones the parser has
+    validated, the ones built to commute (inner_ladder, identity_ladder, the
+    split maps of q_split), and the composites and shifts of marked ladders.
+    to_single_matrix proves commutation only for an unmarked ladder. As with
+    BarcodeBasis, the mark sits outside the dataclass fields: equality, hash
+    and repr ignore it, and dataclasses.replace drops it."""
 
     dom: object
     cod: object
@@ -62,6 +69,15 @@ class LadderModule:
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 
+    def _mark(self, commutes=True):
+        """Mark self as commuting when commutes is true, and return it."""
+        if commutes:
+            object.__setattr__(self, "_commutes", True)
+        return self
+
+    def _marked(self):
+        return "_commutes" in self.__dict__
+
 
 def validate_ladder(lm):
     """Check every square commutes. Returns None, or a message naming the first
@@ -81,7 +97,7 @@ def compose_ladder(outer, inner):
         inner.dom,
         outer.cod,
         tuple(mat_mul(a, b) for a, b in zip(outer.comps, inner.comps)),
-    )
+    )._mark(outer._marked() and inner._marked())
 
 
 def shift_morphism(lm, delta):
@@ -96,7 +112,7 @@ def shift_morphism(lm, delta):
             comps.append(lm.comps[s])
         else:
             comps.append(Matrix.zero(lm.dom.field, cod.dims[t], dom.dims[t]))
-    return LadderModule(dom, cod, tuple(comps))
+    return LadderModule(dom, cod, tuple(comps))._mark(lm._marked())
 
 
 def inner_ladder(m, delta):
@@ -111,12 +127,12 @@ def inner_ladder(m, delta):
             comps.append(m.inner_matrix(t, t + delta))
         else:
             comps.append(Matrix.zero(m.field, 0, m.dims[t]))
-    return LadderModule(m, cod, tuple(comps))
+    return LadderModule(m, cod, tuple(comps))._mark()
 
 
 def identity_ladder(m):
     comps = tuple(Matrix.identity(m.field, n) for n in m.dims)
-    return LadderModule(m, m, comps)
+    return LadderModule(m, m, comps)._mark()
 
 
 @dataclass(frozen=True)
@@ -169,8 +185,9 @@ def _check_basis(basis, module, which, inverses=True):
     check proves the generators list basis.barcode and lay out basis.reduced.
 
     With inverses true, invertibility is proven by computing the inverses,
-    which the object keeps for the caller; otherwise by the rank of each g_t
-    alone, half the elimination."""
+    which the object keeps for a caller that reads them (from_single_matrix's
+    codomain, q_split's source); otherwise by the rank of each g_t alone,
+    half the elimination."""
     g, red = basis.change.mats, basis.reduced
     if tuple(x.rows for x in g) != module.dims:
         raise ValueError("basis change does not fit module dims")
@@ -193,35 +210,38 @@ def _check_basis(basis, module, which, inverses=True):
 def to_single_matrix(lm, dom_basis, cod_basis):
     """Express a morphism as its single matrix over the given barcode bases.
 
-    The checked bases are isomorphisms onto the rigid modules R and S, so the
-    level products P_t = h_t phi_t g_t^-1 commute with R and S exactly when
-    phi does, and validate_ladder on P proves it. R and S carry each bar to
-    itself while it lives, so P commutes exactly when each entry M(K, J) is
-    the same at every level where both bars live and is zero unless
-    K.a <= J.a <= K.b <= J.b: outside the codomain bars alive at J.a, column
-    J is zero. It is read once, at J.a, by one pick from P_t for all the
-    columns born at t (lexicographic order keeps them together). A basis is
-    checked unless the library built it for that endpoint (see BarcodeBasis)."""
+    The checked bases g, h are isomorphisms onto the rigid modules R and S,
+    so the level products P_t = h_t phi_t g_t^-1 commute with R and S exactly
+    when phi_i A_i = B_i phi_(i-1) at every square i, which validate_ladder
+    on phi proves unless phi is marked as commuting (see LadderModule). R and
+    S carry each bar to itself while it lives, so P commutes exactly when
+    each entry M(K, J) is the same at every level where both bars live and is
+    zero unless K.a <= J.a <= K.b <= J.b: column J is read once, at J.a. For
+    the columns born at t (lexicographic order keeps them together), with E_t
+    the selection of their positions, X_t = g_t^-1 E_t is one mat_solve and
+    the block is h_t (phi_t X_t) at the codomain generators alive at t, so
+    no basis is inverted and no P_t is formed. A basis is checked,
+    invertibility by rank, unless the library built it for that endpoint
+    (see BarcodeBasis)."""
     if not dom_basis._marked_for(lm.dom):
-        _check_basis(dom_basis, lm.dom, "domain", inverses=True)
+        _check_basis(dom_basis, lm.dom, "domain", inverses=False)
     if not cod_basis._marked_for(lm.cod):
         _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
-    g_inv = dom_basis.change.inverses()
-    P = [
-        mat_mul(mat_mul(cod_basis.change.mats[t], lm.comps[t]), g_inv[t])
-        for t in range(lm.grid_len + 1)
-    ]
-    bad = validate_ladder(LadderModule(dom_basis.reduced, cod_basis.reduced, tuple(P)))
-    if bad is not None:
-        raise ValueError("the components do not define a morphism: %s" % bad)
+    if not lm._marked():
+        bad = validate_ladder(lm)
+        if bad is not None:
+            raise ValueError("the components do not define a morphism: %s" % bad)
+    field, g, h = lm.dom.field, dom_basis.change.mats, cod_basis.change.mats
     rows = [[] for _ in cod_basis.generators]
-    for t, born in groupby(dom_basis.generators, key=lambda g: g.bar.a):
-        alive = [g.position_at(t) if g.bar.contains_index(t) else None
-                 for g in cod_basis.generators]
-        block = P[t]._select(alive, [g.positions[0] for g in born])
+    for t, born in groupby(dom_basis.generators, key=lambda gen: gen.bar.a):
+        at = {gen.positions[0]: k for k, gen in enumerate(born)}
+        E = Matrix._selection(field, len(at), [at.get(p) for p in range(g[t].rows)])
+        alive = [gen.position_at(t) if gen.bar.contains_index(t) else None
+                 for gen in cod_basis.generators]
+        block = mat_mul(h[t], mat_mul(lm.comps[t], mat_solve(g[t], E)))._select(alive)
         for row, picked in zip(rows, block.to_lists()):
             row += picked
-    entries = Matrix.from_rows(lm.dom.field, rows, cols=len(dom_basis.generators))
+    entries = Matrix.from_rows(field, rows, cols=len(dom_basis.generators))
     return MorphismMatrix(tuple(cod_basis.generators), tuple(dom_basis.generators), entries)
 
 

@@ -331,6 +331,30 @@ def test_entries_follow_one_ascii_grammar(data_dir, tmp_path, capsys):
             assert code == 0, (name, tok)
 
 
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_entries_have_at_most_4300_digits_in_a_row(field_name):
+    # Python's own limit on int-string conversion would refuse these with a
+    # message that names sys.set_int_max_str_digits and differs by version
+    def parse(tok):
+        return parse_module_text("module\nfield %s\ndims 1 1\nmap 1\n%s\n" % (field_name, tok))
+
+    long_, ok = "7" * 4301, "7" * 4300
+    refused = [long_, "-" + long_, "1/" + long_, long_ + "/3", "0." + long_,
+               "x/" + long_, long_ + "e1", "1" + "_1" * 4300, "\u0663" * 4301]
+    for tok in refused:
+        with pytest.raises(ParseError) as e:
+            parse(tok)
+        assert str(e.value) == "line 5: map 1: an entry may have at most 4300 digits in a row"
+    accepted = [ok, "-" + ok, "1/" + ok, ok + "/3"]
+    if field_name == "rational":
+        accepted += ["0." + ok, "." + ok, "1" * 3000 + "." + "1" * 3000]
+    for tok in accepted:
+        m = parse(tok)
+        assert m.maps[0].get(0, 0) == m.field.parse(tok)
+    m = parse(ok)
+    assert m.maps[0].get(0, 0) == m.field.of(int(ok))
+
+
 def test_prime_field_scalar_with_two_slashes_exits_1(data_dir, tmp_path, capsys):
     path = _with_line(data_dir, tmp_path, "mod5.txt", 5, "1/2/3")
     assert main(["barcode", path]) == 1
@@ -474,3 +498,34 @@ def test_inverse_file_with_other_endpoints_exits_1(running, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --inverse file does not match the morphism's endpoints\n"
+
+
+def test_commands_prove_commutation_only_while_parsing(data_dir, monkeypatch):
+    """The parser validates the morphism and its inverse and marks them, so
+    match --compare and decompose --q 2 run validate_ladder twice, both times
+    inside parse_morphism_text, and never again on the ladders built from
+    the parsed ones."""
+    from laddermod import coarse, morphism
+
+    parse, validate = cli.parse_morphism_text, morphism.validate_ladder
+    parsing, calls = [], []
+
+    def traced_parse(text):
+        parsing.append(True)
+        try:
+            return parse(text)
+        finally:
+            parsing.pop()
+
+    def traced_validate(lm):
+        calls.append("parse" if parsing else "elsewhere")
+        return validate(lm)
+
+    monkeypatch.setattr(cli, "parse_morphism_text", traced_parse)
+    for module in (cli, coarse, morphism):
+        monkeypatch.setattr(module, "validate_ladder", traced_validate)
+    for argv in (("match", "--compare"), ("decompose", "--q", "2")):
+        calls.clear()
+        code, _ = run_cli(argv[0], data(data_dir, "run.txt"), *argv[1:])
+        assert code == 0
+        assert calls == ["parse", "parse"], argv

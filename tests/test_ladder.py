@@ -41,6 +41,7 @@ from laddermod import (
     verify_decomposition,
 )
 from laddermod import coarse, ladder, morphism, persistence
+from laddermod.cli import parse_morphism_text
 
 I = Interval
 
@@ -566,11 +567,11 @@ def test_fold_matches_object_reference(field_name):
     assert kinds == {"scale-col", "scale-row", "AO1-col", "AO1-row", "AO2", "AO3"}
 
 
-def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
+def test_decompose_and_verify_invert_nothing(monkeypatch, running):
     """decompose checks the two endpoint bases and verify_decomposition the
-    two folded ones. Of these four basis changes only the domain one, whose
-    inverses to_single_matrix reads, is inverted, each level once; the other
-    three are proven invertible by rank."""
+    two folded ones. All four are proven invertible by rank, and
+    to_single_matrix reads each column with one solve per birth level, so no
+    level of any basis is inverted."""
     phi, _, _ = gen.conjugate_morphism(random.Random("inverses"), running.phi)
     inverted = []
 
@@ -585,14 +586,14 @@ def test_decompose_and_verify_invert_each_level_once(monkeypatch, running):
     kinds = {op.kind for op in dec.ops}
     assert kinds & {"scale-col", "AO1-col", "AO2"} and kinds & {"scale-row", "AO1-row", "AO3"}
     assert verify_decomposition(phi, dec) is None
-    assert len(inverted) == phi.grid_len + 1
-    assert len({id(a) for a in inverted}) == len(inverted)
+    assert inverted == []
 
 
-def test_decompose_trusts_library_bases_and_verify_checks_in_full(monkeypatch, running):
+def test_decompose_trusts_library_bases_and_verify_checks_in_full(monkeypatch, running, data_dir):
     """decompose proves nothing again about bases the library built for the
     modules it is handed (the sweep's, or a shifted one for an equal shifted
-    module): no basis check, and one validate_ladder, on the level products.
+    module): no basis check, and one validate_ladder, on the ladder itself,
+    unless the ladder is marked as commuting (a parsed one), which takes none.
     verify_decomposition ignores the marks and checks both folded bases."""
     calls = Counter()
 
@@ -605,16 +606,20 @@ def test_decompose_trusts_library_bases_and_verify_checks_in_full(monkeypatch, r
     monkeypatch.setattr(morphism, "_check_basis", counting("check", morphism._check_basis))
     monkeypatch.setattr(morphism, "validate_ladder", counting("validate", morphism.validate_ladder))
     phi, _, _ = gen.conjugate_morphism(random.Random("trusted"), running.phi)
+    with open(os.path.join(data_dir, "run.txt")) as f:
+        parsed = parse_morphism_text(f.read()).phi()
     cases = [
-        (phi, None, None),
-        (phi, reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)),
-        (running.phi, running.bbV, running.bbW1),
+        (phi, None, None, 1),
+        (phi, reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod), 1),
+        (running.phi, running.bbV, running.bbW1, 1),
+        (parsed, running.bbV, running.bbW1, 0),
+        (parsed, None, None, 0),
     ]
-    for lm, dom_basis, cod_basis in cases:
+    for lm, dom_basis, cod_basis, validated in cases:
         calls.clear()
         dec = decompose(lm, dom_basis, cod_basis)
         assert isinstance(dec, LadderDecomposition)
-        assert calls == {"validate": 1}
+        assert calls == Counter(validate=validated)
         calls.clear()
         assert verify_decomposition(lm, dec) is None
         assert calls == {"check": 2, "validate": 2}

@@ -1,6 +1,7 @@
 """Ladder modules, single-matrix presentations, and interleaving checks."""
 
 import dataclasses
+import os
 import random
 from collections import Counter
 from functools import partial
@@ -38,7 +39,8 @@ from laddermod import (
     to_single_matrix,
     validate_ladder,
 )
-from laddermod import persistence
+from laddermod import morphism, persistence
+from laddermod.cli import MorphismDoc, parse_morphism_text, print_morphism
 from laddermod.morphism import _check_basis
 
 I = Interval
@@ -485,3 +487,75 @@ def test_unmarked_and_foreign_bases_are_checked_at_every_entry(field_name):
         assert seen[kind, "domain basis does not reduce the domain module"] >= 5, seen
     for kind in ("replaced", "hand-built"):
         assert seen[kind, "singular matrix"] >= 5, seen
+
+
+def test_ladders_built_to_commute_are_marked(running, data_dir):
+    """The mark goes to the ladders the parser validated, which the document
+    hands out as the same instances, to the ones built to commute, and to
+    composites and shifts whose inputs are all marked; equality, hash and
+    repr do not see it, and dataclasses.replace drops it."""
+    with open(os.path.join(data_dir, "run.txt")) as f:
+        doc = parse_morphism_text(f.read())
+    phi, psi = doc.phi(), doc.psi()
+    assert phi is doc.phi() and psi is doc.psi()
+    split = q_split(running.V, 2)
+    marked = [
+        phi, psi, identity_ladder(running.V), inner_ladder(running.V, 2),
+        split.pr_long, split.pr_short, split.inc_long, split.inc_short,
+        compose_ladder(shift_morphism(psi, 1), phi), shift_morphism(phi, 2),
+        compose_ladder(inner_ladder(phi.cod, 1), phi),
+    ]
+    assert all(lm._marked() for lm in marked)
+    hand_built = LadderModule(phi.dom, phi.cod, phi.comps)
+    unmarked = [
+        running.phi, hand_built, dataclasses.replace(phi), shift_morphism(hand_built, 1),
+        compose_ladder(inner_ladder(phi.cod, 1), hand_built),
+        compose_ladder(identity_ladder(phi.cod), hand_built),
+        compose_ladder(hand_built, identity_ladder(phi.dom)),
+        MorphismDoc(doc.dom, doc.cod, doc.delta, doc.comps, doc.inverse_comps).phi(),
+    ]
+    assert not any(lm._marked() for lm in unmarked)
+    for lm in (hand_built, dataclasses.replace(phi)):
+        assert lm == phi and hash(lm) == hash(phi) and repr(lm) == repr(phi)
+
+
+def test_unmarked_ladders_are_proven_and_refused_as_before(running, monkeypatch):
+    """to_single_matrix runs validate_ladder on an unmarked ladder only, and
+    refuses a non-commuting one with the message naming its first failing
+    square, whether it was built by hand, by dataclasses.replace from a
+    marked one, or from a marked one's components with two levels swapped."""
+    validated = []
+    validate = morphism.validate_ladder
+    monkeypatch.setattr(morphism, "validate_ladder", lambda lm: validated.append(lm) or validate(lm))
+    lm, _, _ = gen.conjugate_morphism(random.Random("swapped"), running.phi)
+    phi = parse_morphism_text(print_morphism(MorphismDoc(lm.dom, lm.cod, 0, lm.comps, ()))).phi()
+    assert phi == lm and phi._marked()
+    bd, bc = reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)
+    want = to_single_matrix(phi, bd, bc)
+    assert validated == []
+    for lm in (dataclasses.replace(phi), LadderModule(phi.dom, phi.cod, phi.comps)):
+        assert to_single_matrix(lm, bd, bc) == want
+        assert validated == [lm]
+        validated.clear()
+
+    comps = list(phi.comps)
+    t = next(t for t, c in enumerate(comps) if not c.is_zero())
+    rows = comps[t].to_lists()
+    rows[0][0] += 1
+    comps[t] = Matrix.from_rows(QQ, rows, cols=comps[t].cols)
+    s, u = next((s, u) for s in range(len(comps)) for u in range(s + 1, len(comps))
+                if comps[s].rows == comps[u].rows and comps[s].cols == comps[u].cols
+                and phi.comps[s] != phi.comps[u])
+    swapped = list(phi.comps)
+    swapped[s], swapped[u] = swapped[u], swapped[s]
+    bad = {
+        "hand-built": LadderModule(phi.dom, phi.cod, tuple(comps)),
+        "replaced": dataclasses.replace(phi, comps=tuple(comps)),
+        "swapped": LadderModule(phi.dom, phi.cod, tuple(swapped)),
+    }
+    for kind, lm in bad.items():
+        square = validate(lm)
+        assert square is not None and not lm._marked(), kind
+        want = "the components do not define a morphism: %s" % square
+        assert _message(lambda: to_single_matrix(lm, bd, bc)) == want, kind
+        assert _message(lambda: decompose(lm, bd, bc)) == want, kind

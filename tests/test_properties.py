@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import gen
 from laddermod import (
     Barcode,
+    BarcodeBasis,
     Interval,
     LadderDecomposition,
     LadderModule,
@@ -20,6 +21,8 @@ from laddermod import (
     decompose,
     field_by_name,
     from_single_matrix,
+    mat_inverse,
+    mat_mul,
     module_from_barcode,
     nestedness,
     offset_origins,
@@ -379,3 +382,64 @@ def test_single_matrix_refuses_exactly_the_non_commuting_ladders(field_name):
         assert got == (None if want is None else "the components do not define a morphism: " + want)
         seen[want is None] += 1
     assert seen[True] >= 30 and seen[False] >= 30, seen
+
+
+def _reference_single_matrix(lm, dom_basis, cod_basis):
+    """The single matrix read from the full level products P_t = h_t phi_t
+    g_t^-1, each g_t inverted by mat_inverse, each column J at its birth
+    level J.a and zero outside the codomain bars alive there."""
+    field = lm.dom.field
+    g, h = dom_basis.change.mats, cod_basis.change.mats
+    P = [mat_mul(mat_mul(h[t], c), mat_inverse(g[t])) for t, c in enumerate(lm.comps)]
+    rows = [
+        [P[dg.bar.a].get(cg.position_at(dg.bar.a), dg.positions[0])
+         if cg.bar.contains_index(dg.bar.a) else field.zero()
+         for dg in dom_basis.generators]
+        for cg in cod_basis.generators
+    ]
+    return Matrix.from_rows(field, rows, cols=len(dom_basis.generators))
+
+
+def _shaped_morphism(rng, field, shape):
+    """A conjugated random morphism: gen's nested-free one, or one between
+    random bars on one level, or with an empty domain or codomain."""
+    if shape == "random":
+        lm = gen.random_barcode_morphism(rng, field)[0]
+    else:
+        l = 0 if shape == "one-level" else rng.randint(1, 6)
+
+        def bars(empty):
+            return [] if empty else gen.random_bars(rng, l, rng.randint(1, 4))
+
+        dom = module_from_barcode(field, l, bars(shape == "empty-dom"))
+        cod = module_from_barcode(field, l, bars(shape == "empty-cod"))
+        bd, bc = reduce_to_barcode_basis(dom), reduce_to_barcode_basis(cod)
+        lm = from_single_matrix(gen.random_morphism_matrix(rng, bc, bd, field), dom, cod, bd, bc)
+    return gen.conjugate_morphism(rng, lm)[0]
+
+
+@pytest.mark.parametrize("shape", ["random", "one-level", "empty-dom", "empty-cod"])
+@pytest.mark.parametrize("bases", ["built", "hand-built", "folded"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["rational", "prime 5"]))
+def test_single_matrix_matches_the_full_level_products(shape, bases, seed, field_name):
+    """to_single_matrix, which solves once per birth level, gives the entries,
+    and the entry types, that reading each column of the full level product
+    at its birth level gives, on library-built bases (no entry check),
+    hand-built copies of them and the folded bases of a decomposition (both
+    checked in full)."""
+    field = field_by_name(field_name)
+    rng = random.Random(seed)
+    phi = _shaped_morphism(rng, field, shape)
+    bd, bc = reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)
+    if bases == "hand-built":
+        bd, bc = (BarcodeBasis(b.change, b.barcode, b.generators, b.reduced) for b in (bd, bc))
+    elif bases == "folded":
+        dec = decompose(phi, bd, bc)
+        assume(isinstance(dec, LadderDecomposition))
+        bd, bc = dec.dom_basis, dec.cod_basis
+    got = to_single_matrix(phi, bd, bc)
+    want = _reference_single_matrix(phi, bd, bc)
+    assert (got.row_gens, got.col_gens) == (bc.generators, bd.generators)
+    assert got.entries == want
+    assert [type(x) for x in got.entries.data] == [type(x) for x in want.data]
