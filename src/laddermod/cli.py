@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .fields import Matrix, field_by_name
+from .fields import _INTEGER, Matrix, field_by_name
 from .persistence import (
     PersistenceModule,
     reduce_to_barcode_basis,
@@ -102,11 +102,13 @@ def _parse_field_line(ls):
 
 
 def _parse_ints(ls, line, prefix):
-    body = line[len(prefix):].strip()
-    try:
-        return tuple(int(tok) for tok in body.split()) if body else ()
-    except ValueError:
-        raise ParseError(ls.lineno, "bad integer list in '%s'" % line)
+    toks = line[len(prefix):].split()
+    if all(_INTEGER.fullmatch(tok) for tok in toks):
+        try:
+            return tuple(int(tok) for tok in toks)
+        except ValueError:  # more digits than int converts
+            pass
+    raise ParseError(ls.lineno, "bad integer list in '%s'" % line)
 
 
 def _parse_matrix(ls, field, rows, cols, what):
@@ -275,8 +277,16 @@ def print_morphism(doc):
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of path, with newlines translated as open() does; a byte that
+    is not UTF-8 is refused on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[:e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(1 + head.count(b"\n"), "not valid UTF-8")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def render_barcode_svg(barcode, grid_len):

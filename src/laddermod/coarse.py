@@ -55,7 +55,7 @@ class QSplitting:
     inc_short: object
 
 
-def _build_part(m, basis, sel_gens):
+def _build_part(m, basis, g_inv, sel_gens):
     field = m.field
     l = m.grid_len
     alive = []
@@ -79,7 +79,7 @@ def _build_part(m, basis, sel_gens):
     )._mark(part)
     # pr_t keeps the rows alive[t] of g_t, inc_t the columns alive[t] of g_t^-1;
     # the generators lay out basis.reduced, so both commute and are marked so
-    g, g_inv = basis.change.mats, basis.change.inverses()
+    g = basis.change.mats
     pr = LadderModule(m, part, tuple(x._select(rows=ps) for x, ps in zip(g, alive)))._mark()
     inc = LadderModule(part, m, tuple(x._select(cols=ps) for x, ps in zip(g_inv, alive)))._mark()
     return part, part_basis, pr, inc
@@ -97,8 +97,9 @@ def q_split(m, q, basis=None):
         _check_basis(basis, m, "source")
     long_gens = [g for g in basis.generators if g.bar.length >= q]
     short_gens = [g for g in basis.generators if g.bar.length < q]
-    long_mod, long_basis, pr_l, inc_l = _build_part(m, basis, long_gens)
-    short_mod, short_basis, pr_s, inc_s = _build_part(m, basis, short_gens)
+    g_inv = basis.change.inverses()
+    long_mod, long_basis, pr_l, inc_l = _build_part(m, basis, g_inv, long_gens)
+    short_mod, short_basis, pr_s, inc_s = _build_part(m, basis, g_inv, short_gens)
     return QSplitting(
         q, basis, long_mod, short_mod, long_basis, short_basis, pr_l, pr_s, inc_l, inc_s
     )

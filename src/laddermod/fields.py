@@ -45,7 +45,9 @@ _EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE]")
 # The file grammar of an entry, in ASCII only: an integer or one fraction n/d
 # in both fields, and a plain decimal over QQ. Fraction and int would also take
 # digit separators (1_0, for int and for Fraction from Python 3.11) and
-# non-ASCII digits, which the printer would not give back.
+# non-ASCII digits, which the printer would not give back. The integers of a
+# field spec and of the dims and delta lines follow _INTEGER.
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 _FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 _RATIONAL = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 # The most digits in a row an entry may have (integer part, decimal part or
@@ -301,7 +303,7 @@ def field_by_name(name):
     parts = name.strip().split()
     if parts == ["rational"]:
         return QQ
-    if len(parts) == 2 and parts[0] == "prime":
+    if len(parts) == 2 and parts[0] == "prime" and _INTEGER.fullmatch(parts[1]):
         return PrimeField(int(parts[1]))
     raise ValueError("unknown field spec %r" % name)
 

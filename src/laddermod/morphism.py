@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-# The inverses come from BasisChange.inverses(); mat_inverse is imported for
-# the traced benchmark run (bench/workloads.py), which rebinds it in this module.
+# No basis is inverted here; mat_inverse is imported for the traced benchmark
+# run (bench/workloads.py), which rebinds it in this module.
 from .fields import Matrix, mat_inverse, mat_mul, mat_solve
 from .persistence import (
     Barcode,
@@ -176,25 +176,18 @@ class MorphismMatrix:
         )
 
 
-def _check_basis(basis, module, which, inverses=True):
+def _check_basis(basis, module, which):
     """Raise ValueError unless basis.change takes module to basis.reduced,
-    that is g_t A_t g_{t-1}^{-1} == R_t at every t. Once every g_t is known
-    to be invertible this is g_t A_t == R_t g_{t-1}, validate_ladder on the
-    ladder g: module -> basis.reduced, with no inverse. Checks and messages
-    are those of BasisChange.apply and a compare, in the same order. A last
-    check proves the generators list basis.barcode and lay out basis.reduced.
-
-    With inverses true, invertibility is proven by computing the inverses,
-    which the object keeps for a caller that reads them (from_single_matrix's
-    codomain, q_split's source); otherwise by the rank of each g_t alone,
-    half the elimination."""
+    that is g_t A_t g_{t-1}^{-1} == R_t at every t. Every g_t is proven
+    invertible by its rank, and then this is g_t A_t == R_t g_{t-1},
+    validate_ladder on the ladder g: module -> basis.reduced, with no
+    inverse. Checks and messages are those of BasisChange.apply and a
+    compare, in the same order. A last check proves the generators list
+    basis.barcode and lay out basis.reduced."""
     g, red = basis.change.mats, basis.reduced
     if tuple(x.rows for x in g) != module.dims:
         raise ValueError("basis change does not fit module dims")
-    if inverses:
-        basis.change.inverses()
-    else:
-        basis.change._prove_invertible()
+    basis.change._prove_invertible()
     if any(x.field != module.field for x in g):
         raise ValueError("field mismatch")
     if red.field != module.field or red.dims != module.dims or (
@@ -220,13 +213,12 @@ def to_single_matrix(lm, dom_basis, cod_basis):
     the columns born at t (lexicographic order keeps them together), with E_t
     the selection of their positions, X_t = g_t^-1 E_t is one mat_solve and
     the block is h_t (phi_t X_t) at the codomain generators alive at t, so
-    no basis is inverted and no P_t is formed. A basis is checked,
-    invertibility by rank, unless the library built it for that endpoint
-    (see BarcodeBasis)."""
+    no basis is inverted and no P_t is formed. A basis is checked unless the
+    library built it for that endpoint (see BarcodeBasis)."""
     if not dom_basis._marked_for(lm.dom):
-        _check_basis(dom_basis, lm.dom, "domain", inverses=False)
+        _check_basis(dom_basis, lm.dom, "domain")
     if not cod_basis._marked_for(lm.cod):
-        _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
+        _check_basis(cod_basis, lm.cod, "codomain")
     if not lm._marked():
         bad = validate_ladder(lm)
         if bad is not None:
@@ -250,17 +242,18 @@ def from_single_matrix(mm, dom, cod, dom_basis, cod_basis):
     coordinates of dom and cod.
 
     Component t is h_t^-1 P_t g_t for the block P_t of mm at the generators
-    alive at t. The result commutes by construction and is not re-validated:
-    the blocks of a single matrix commute with the rigid modules (see
-    to_single_matrix), and the checked bases carry them back to dom and cod.
-    As there, a basis the library built for its module is not checked again."""
+    alive at t, found as mat_solve(h_t, P_t g_t), so no basis is inverted.
+    The result commutes by construction and is not re-validated: the blocks
+    of a single matrix commute with the rigid modules (see to_single_matrix),
+    and the checked bases carry them back to dom and cod. As there, a basis
+    the library built for its module is not checked again."""
     if not dom_basis._marked_for(dom):
-        _check_basis(dom_basis, dom, "domain", inverses=False)
+        _check_basis(dom_basis, dom, "domain")
     if not cod_basis._marked_for(cod):
-        _check_basis(cod_basis, cod, "codomain", inverses=True)
-    h_inv, g = cod_basis.change.inverses(), dom_basis.change.mats
+        _check_basis(cod_basis, cod, "codomain")
+    g, h = dom_basis.change.mats, cod_basis.change.mats
     # mm may be any single matrix, so each block P_t is multiplied densely
-    comps = [mat_mul(h_inv[t], mat_mul(mm.entries._select(rows, cols), g[t]))
+    comps = [mat_solve(h[t], mat_mul(mm.entries._select(rows, cols), g[t]))
              for t, (rows, cols) in enumerate(_level_indices(mm, dom_basis, cod_basis))]
     return LadderModule(dom, cod, tuple(comps))
 
@@ -285,10 +278,9 @@ def _level_indices(mm, dom_basis, cod_basis):
 def _unmet_level(mm, lm, dom_basis, cod_basis):
     """The first t with h_t phi_t != P_t g_t, or None when mm presents lm in
     these bases. mm must be in matching form, so each P_t is a selection and
-    P_t g_t picks rows of g_t. Both bases are checked in full, invertibility
-    by rank."""
-    _check_basis(dom_basis, lm.dom, "domain", inverses=False)
-    _check_basis(cod_basis, lm.cod, "codomain", inverses=False)
+    P_t g_t picks rows of g_t. Both bases are checked in full."""
+    _check_basis(dom_basis, lm.dom, "domain")
+    _check_basis(cod_basis, lm.cod, "codomain")
     g, h = dom_basis.change.mats, cod_basis.change.mats
     matched = [next((c for c, x in enumerate(row) if x), None) for row in mm.entries.to_lists()]
     for t, (rows, cols) in enumerate(_level_indices(mm, dom_basis, cod_basis)):

@@ -195,31 +195,19 @@ class BasisChange:
         return cls(tuple(Matrix.identity(field, n) for n in dims))
 
     def inverses(self):
-        """g_t^{-1} at every index. Computed on the first call and kept in the
-        instance dict, outside the dataclass fields, so equality, hash and
-        repr do not see it; the object is frozen and its matrices immutable,
-        so the inverses cannot go stale."""
-        invs = self.__dict__.get("_inverses")
-        if invs is None:
-            invs = tuple(mat_inverse(g) for g in self.mats)
-            object.__setattr__(self, "_inverses", invs)
-        return invs
+        """g_t^{-1} at every index, computed afresh on each call."""
+        return tuple(mat_inverse(g) for g in self.mats)
 
     def _prove_invertible(self):
         """Raise ValueError unless every g_t is invertible, by rank alone. Over
         QQ a level that has full rank modulo Matrix.rank's fixed prime needs
         no exact elimination; only one that the prime leaves singular gets
-        one, so a singular level is still refused as "singular matrix". The
-        verdict is kept next to the inverses (which prove it too) and cannot
-        go stale, so a second call costs nothing."""
-        if "_inverses" in self.__dict__ or "_invertible" in self.__dict__:
-            return
+        one, so a singular level is still refused as "singular matrix"."""
         for g in self.mats:
             if g.rows != g.cols:
                 raise ValueError("not square")
             if g.rank() < g.rows:
                 raise ValueError("singular matrix")
-        object.__setattr__(self, "_invertible", True)
 
     def apply(self, m):
         """Rewrite the structure maps in the new coordinates: g_t A_t g_{t-1}^{-1}."""
@@ -294,9 +282,9 @@ class BarcodeBasis:
         return {(g.bar, g.slot): g for g in self.generators}
 
     def _mark(self, m):
-        """Mark self as built to reduce m (unless m is None) and return it. As
-        with BasisChange's inverses, the mark sits outside the dataclass
-        fields: equality, hash and repr ignore it, dataclasses.replace drops it."""
+        """Mark self as built to reduce m (unless m is None) and return it. The
+        mark sits outside the dataclass fields: equality, hash and repr ignore
+        it, dataclasses.replace drops it."""
         if m is not None:
             object.__setattr__(self, "_reduces", m)
         return self

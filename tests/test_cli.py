@@ -373,6 +373,78 @@ def test_delta_with_two_values_exits_1(data_dir, tmp_path, capsys):
             assert err == "error: line 2: delta must be a single integer >= 0\n"
 
 
+def test_integer_lines_follow_the_ascii_grammar(data_dir, tmp_path, capsys, monkeypatch):
+    # int reads digit separators and non-ASCII digits, which print_module would
+    # write back as other bytes; the dims, delta and field lines refuse them
+    refused = [
+        ("V.txt", 3, "dims 1_0", "bad integer list in 'dims 1_0'"),
+        ("V.txt", 3, "dims \u0663", "bad integer list in 'dims \u0663'"),
+        ("run.txt", 2, "delta \u0660", "bad integer list in 'delta \u0660'"),
+        ("V.txt", 2, "field prime 1_1", "unknown field spec 'prime 1_1'"),
+    ]
+    for name, lineno, text, message in refused:
+        assert main(["decompose" if name == "run.txt" else "barcode",
+                     _with_line(data_dir, tmp_path, name, lineno, text)]) == 1
+        assert capsys.readouterr().err == "error: line %d: %s\n" % (lineno, message), text
+    nofield = tmp_path / "nofield.txt"
+    with open(data(data_dir, "V.txt")) as f:
+        nofield.write_text(f.read().replace("field rational\n", ""))
+    monkeypatch.setenv("LADDERMOD_FIELD", "prime 1_1")
+    assert main(["barcode", str(nofield)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: LADDERMOD_FIELD: unknown field spec 'prime 1_1'\n")
+    monkeypatch.setenv("LADDERMOD_FIELD", "prime 007")
+    assert run_cli("barcode", str(nofield)) == (0, "[0,4] [1,7] [4,4]\n")
+    # a signed integer and leading zeros still parse
+    m = parse_module_text("module\nfield prime 007\ndims +3\n")
+    assert m.dims == (3,) and m.field.p == 7
+    assert print_module(m) == "module\nfield prime 7\ndims 3\n"
+
+
+def _bytes_with_bad_line(path, lineno):
+    """The bytes of path with byte 0xff put at the end of line lineno."""
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n")
+    lines[lineno - 1] += b"\xff"
+    return b"\n".join(lines)
+
+
+def test_bytes_that_are_not_utf8_are_refused_on_their_line(running, data_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_bytes_with_bad_line(data(data_dir, "V.txt"), 5))
+    assert main(["barcode", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 5: not valid UTF-8\n"
+    # past the first buffer a text-mode reader decodes, the line still counts from the start
+    far = tmp_path / "far.txt"
+    far.write_bytes(b"module\n" + (b"x" * 79 + b"\n") * 200 + b"\xff\n")
+    assert far.stat().st_size > 10000
+    assert main(["barcode", str(far)]) == 1
+    assert capsys.readouterr().err == "error: line 202: not valid UTF-8\n"
+    fa, fb = _split_running(running, tmp_path)
+    with open(fb, "rb") as f:
+        psi_bytes = f.read()
+    with open(fb, "wb") as f:
+        f.write(psi_bytes.replace(b"\ncomponents\n", b"\ncomponents\xff\n"))
+    lineno = 1 + psi_bytes[:psi_bytes.index(b"\ncomponents\n") + 1].count(b"\n")
+    assert main(["verify", fa, "--inverse", fb]) == 1
+    assert capsys.readouterr().err == "error: line %d: not valid UTF-8\n" % lineno
+
+
+def test_crlf_and_cr_files_parse_as_lf_files(data_dir, tmp_path, capsys):
+    with open(data(data_dir, "run.txt"), "rb") as f:
+        lf = f.read()
+    want = run_cli("decompose", data(data_dir, "run.txt"))
+    assert want[0] == 0
+    bad = _bytes_with_bad_line(data(data_dir, "run.txt"), 5)
+    for newline in (b"\r\n", b"\r"):
+        path = tmp_path / "newlines.txt"
+        path.write_bytes(lf.replace(b"\n", newline))
+        assert run_cli("decompose", str(path)) == want
+        path.write_bytes(bad.replace(b"\n", newline))
+        assert main(["decompose", str(path)]) == 1
+        assert capsys.readouterr().err == "error: line 5: not valid UTF-8\n"
+
+
 def test_bad_arguments_exit_1():
     # argparse failures leave through SystemExit, remapped to status 1
     with pytest.raises(SystemExit) as exc:

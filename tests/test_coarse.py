@@ -8,6 +8,7 @@ import pytest
 import gen
 from laddermod import (
     Barcode,
+    BarcodeBasis,
     InterleavingCertificate,
     Interval,
     LadderDecomposition,
@@ -32,6 +33,7 @@ from laddermod import (
     shift_morphism,
     validate_ladder,
 )
+from laddermod import persistence
 from laddermod.morphism import _check_basis
 
 I = Interval
@@ -72,6 +74,25 @@ def test_q_split_all_long_or_all_short(running):
     sp99 = q_split(running.V, 99)
     assert sp99.long_basis.barcode == Barcode([])
     assert sp99.short_basis.barcode == running.bbV.barcode
+
+
+def test_q_split_inverts_each_level_once(running, monkeypatch):
+    """One inversion per level of the source basis per split, read by the
+    inclusions of both parts; a caller's basis is checked by rank first."""
+    inverted = []
+
+    def counted(a):
+        inverted.append(a)
+        return mat_inverse(a)
+
+    monkeypatch.setattr(persistence, "mat_inverse", counted)
+    bb = reduce_to_barcode_basis(running.V)
+    for basis in (None, bb, BarcodeBasis(bb.change, bb.barcode, bb.generators, bb.reduced)):
+        inverted.clear()
+        split = q_split(running.V, 2, basis)
+        assert any(split.long.dims) and any(split.short.dims)
+        assert len(inverted) == running.V.grid_len + 1
+        assert all(a is g for a, g in zip(inverted, split.source_basis.change.mats))
 
 
 def test_q_split_rejects_another_modules_basis(running):

@@ -571,7 +571,8 @@ def test_decompose_and_verify_invert_nothing(monkeypatch, running):
     """decompose checks the two endpoint bases and verify_decomposition the
     two folded ones. All four are proven invertible by rank, and
     to_single_matrix reads each column with one solve per birth level, so no
-    level of any basis is inverted."""
+    level of any basis is inverted. from_single_matrix solves once per level,
+    with a checked basis (invertibility by rank) or a library-built one."""
     phi, _, _ = gen.conjugate_morphism(random.Random("inverses"), running.phi)
     inverted = []
 
@@ -586,6 +587,10 @@ def test_decompose_and_verify_invert_nothing(monkeypatch, running):
     kinds = {op.kind for op in dec.ops}
     assert kinds & {"scale-col", "AO1-col", "AO2"} and kinds & {"scale-row", "AO1-row", "AO3"}
     assert verify_decomposition(phi, dec) is None
+    assert from_single_matrix(dec.matching, phi.dom, phi.cod, dec.dom_basis, dec.cod_basis) == phi
+    bases = reduce_to_barcode_basis(phi.dom), reduce_to_barcode_basis(phi.cod)
+    mm = to_single_matrix(phi, *bases)
+    assert from_single_matrix(mm, phi.dom, phi.cod, *bases) == phi
     assert inverted == []
 
 
@@ -623,37 +628,6 @@ def test_decompose_trusts_library_bases_and_verify_checks_in_full(monkeypatch, r
         calls.clear()
         assert verify_decomposition(lm, dec) is None
         assert calls == {"check": 2, "validate": 2}
-
-
-def test_second_verify_computes_no_rank(monkeypatch, running):
-    """verify_decomposition proves the folded bases invertible by rank, and
-    each BasisChange keeps that verdict, so verifying the same decomposition
-    again computes no rank."""
-    phi, _, _ = gen.conjugate_morphism(random.Random("verify-twice"), running.phi)
-    dec = decompose(phi)
-    ranked = []
-    rank = Matrix.rank
-
-    def counted(self):
-        ranked.append(self)
-        return rank(self)
-
-    monkeypatch.setattr(Matrix, "rank", counted)
-    assert verify_decomposition(phi, dec) is None
-    assert ranked
-    ranked.clear()
-    assert verify_decomposition(phi, dec) is None
-    assert ranked == []
-
-
-def test_basis_change_inverses_are_kept_outside_equality():
-    mats = tuple(gen.random_invertible(random.Random(7), QQ, n, ops=4) for n in (2, 3, 1))
-    filled, empty = BasisChange(mats), BasisChange(mats)
-    invs = filled.inverses()
-    assert filled.inverses() is invs
-    assert all(mat_inverse(g) == h for g, h in zip(mats, invs))
-    assert filled == empty and hash(filled) == hash(empty)
-    assert repr(filled) == repr(empty)
 
 
 def test_readme_library_quick_start():

@@ -4,7 +4,6 @@ import dataclasses
 import os
 import random
 from collections import Counter
-from functools import partial
 
 import pytest
 
@@ -31,6 +30,8 @@ from laddermod import (
     from_single_matrix,
     identity_ladder,
     inner_ladder,
+    mat_inverse,
+    mat_mul,
     module_from_barcode,
     q_split,
     reduce_to_barcode_basis,
@@ -371,38 +372,11 @@ def _perturbed(rng, m, bb, other_field):
 
 
 @pytest.mark.parametrize("field_name", ["rational", "prime 5"])
-def test_basis_check_matches_applying_the_change(field_name):
+def test_basis_check_matches_applying_the_change(field_name, monkeypatch):
     """_check_basis accepts exactly the bases whose change takes the module to
     the recorded reduced module, and rejects the others with the message
-    applying the change and comparing would give."""
-    field = field_by_name(field_name)
-    other_field = field_by_name("prime 5" if field_name == "rational" else "rational")
-    rng = random.Random("basis-check/" + field_name)
-    seen = Counter()
-    for _ in range(150):
-        m = gen.random_module(rng, field)
-        basis = _perturbed(rng, m, reduce_to_barcode_basis(m), other_field)
-        which = rng.choice(["domain", "codomain"])
-        # a fresh BasisChange, so that the reference computes its own inverses
-        fresh = _with_change(basis, basis.change.mats)
-        want = _verdict(_reference_check, fresh, m, which)
-        assert _verdict(_check_basis, basis, m, which) == want
-        seen[want if want is None else want.replace("codomain", "domain")] += 1
-    assert set(seen) == {
-        None,
-        "singular matrix",
-        "not square",
-        "field mismatch",
-        "basis change does not fit module dims",
-        "domain basis does not reduce the domain module",
-    }, seen
-
-
-@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
-def test_rank_proven_basis_check_matches_applying_the_change(field_name, monkeypatch):
-    """The side whose inverses the caller never reads is proven invertible by
-    rank alone: same verdicts and messages as applying the change, and no
-    inverse computed."""
+    applying the change and comparing would give. Invertibility is proven by
+    rank alone, so the check computes no inverse."""
     field = field_by_name(field_name)
     other_field = field_by_name("prime 5" if field_name == "rational" else "rational")
     rng = random.Random("basis-check/" + field_name)
@@ -411,15 +385,74 @@ def test_rank_proven_basis_check_matches_applying_the_change(field_name, monkeyp
         m = gen.random_module(rng, field)
         basis = _perturbed(rng, m, reduce_to_barcode_basis(m), other_field)
         cases.append((m, basis, rng.choice(["domain", "codomain"])))
-    wants = [_verdict(_reference_check, _with_change(b, b.change.mats), m, w) for m, b, w in cases]
+    wants = [_verdict(_reference_check, basis, m, which) for m, basis, which in cases]
     inverted = []
     monkeypatch.setattr(persistence, "mat_inverse", inverted.append)
     for (m, basis, which), want in zip(cases, wants):
-        fresh = _with_change(basis, basis.change.mats)
-        assert _verdict(partial(_check_basis, inverses=False), fresh, m, which) == want
+        assert _verdict(_check_basis, basis, m, which) == want
     assert inverted == []
-    assert {w if w is None else w.replace("codomain", "domain") for w in wants} >= {
-        None, "singular matrix", "not square", "field mismatch"}
+    assert {w if w is None else w.replace("codomain", "domain") for w in wants} == {
+        None,
+        "singular matrix",
+        "not square",
+        "field mismatch",
+        "basis change does not fit module dims",
+        "domain basis does not reduce the domain module",
+    }
+
+
+def _reference_from_single(mm, dom, cod, dom_basis, cod_basis):
+    """h_t^-1 P_t g_t at every level t, with h_t inverted, and P_t laid out
+    entry by entry from mm at the positions of the generators alive at t."""
+    field, comps = mm.field, []
+    for t in range(dom.grid_len + 1):
+        P = [[field.zero()] * dom.dims[t] for _ in range(cod.dims[t])]
+        for r, rg in enumerate(mm.row_gens):
+            for c, cg in enumerate(mm.col_gens):
+                if rg.bar.contains_index(t) and cg.bar.contains_index(t):
+                    P[rg.position_at(t)][cg.position_at(t)] = mm.entry(r, c)
+        P = Matrix.from_rows(field, P, cols=dom.dims[t])
+        h_inv = mat_inverse(cod_basis.change.mats[t])
+        comps.append(mat_mul(h_inv, mat_mul(P, dom_basis.change.mats[t])))
+    return tuple(comps)
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_from_single_matrix_matches_inverting_the_codomain_basis(field_name):
+    """from_single_matrix solves h_t X = P_t g_t; the reference inverts h_t.
+    Same components, entry types included, for random single matrices that
+    respect the support rule, over library-built and hand-built bases, on
+    one-level grids and with modules that have no bars."""
+    field = field_by_name(field_name)
+    rng = random.Random("from-single/" + field_name)
+    seen = Counter()
+    for _ in range(80):
+        l = rng.randint(0, 4)
+        modules, bases = [], []
+        for _ in range(2):
+            empty = rng.random() < 0.2
+            dims = tuple(0 if empty else rng.randint(0, 3) for _ in range(l + 1))
+            m = PersistenceModule(field, dims, tuple(
+                gen.random_matrix(rng, field, dims[i], dims[i - 1]) for i in range(1, l + 1)))
+            bb = reduce_to_barcode_basis(m)
+            if rng.random() < 0.5:
+                bb = BarcodeBasis(bb.change, bb.barcode, bb.generators, bb.reduced)
+            modules.append(m)
+            bases.append(bb)
+            seen["empty" if not bb.generators else "bars"] += 1
+            seen["marked" if bb._marked_for(m) else "hand-built"] += 1
+        (dom, cod), (dom_basis, cod_basis) = modules, bases
+        seen["one level" if l == 0 else "grid"] += 1
+        mm = gen.random_morphism_matrix(rng, cod_basis, dom_basis, field)
+        seen["nonzero" if not mm.entries.is_zero() else "zero"] += 1
+        got = from_single_matrix(mm, dom, cod, dom_basis, cod_basis)
+        want = _reference_from_single(mm, dom, cod, dom_basis, cod_basis)
+        assert got.comps == want
+        assert [[type(x) for row in c.to_lists() for x in row] for c in got.comps] == [
+            [type(x) for row in c.to_lists() for x in row] for c in want]
+        assert to_single_matrix(got, dom_basis, cod_basis) == mm
+    assert all(seen[k] >= 5 for k in (
+        "empty", "bars", "marked", "hand-built", "one level", "grid", "nonzero")), seen
 
 
 def _tampered_change(rng, bb):
