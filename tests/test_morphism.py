@@ -371,12 +371,9 @@ def _perturbed(rng, m, bb, other_field):
     return BarcodeBasis(BasisChange(tuple(mats)), bb.barcode, bb.generators, reduced)
 
 
-@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
-def test_basis_check_matches_applying_the_change(field_name, monkeypatch):
-    """_check_basis accepts exactly the bases whose change takes the module to
-    the recorded reduced module, and rejects the others with the message
-    applying the change and comparing would give. Invertibility is proven by
-    rank alone, so the check computes no inverse."""
+def _basis_check_cases(field_name):
+    """150 (module, perturbed basis, side) triples with the verdict applying
+    the change and comparing gives for each."""
     field = field_by_name(field_name)
     other_field = field_by_name("prime 5" if field_name == "rational" else "rational")
     rng = random.Random("basis-check/" + field_name)
@@ -385,13 +382,19 @@ def test_basis_check_matches_applying_the_change(field_name, monkeypatch):
         m = gen.random_module(rng, field)
         basis = _perturbed(rng, m, reduce_to_barcode_basis(m), other_field)
         cases.append((m, basis, rng.choice(["domain", "codomain"])))
-    wants = [_verdict(_reference_check, basis, m, which) for m, basis, which in cases]
-    inverted = []
-    monkeypatch.setattr(persistence, "mat_inverse", inverted.append)
-    for (m, basis, which), want in zip(cases, wants):
+    return [(m, basis, which, _verdict(_reference_check, basis, m, which))
+            for m, basis, which in cases]
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_basis_check_matches_applying_the_change(field_name):
+    """_check_basis accepts exactly the bases whose change takes the module to
+    the recorded reduced module, and rejects the others with the message
+    applying the change and comparing would give."""
+    cases = _basis_check_cases(field_name)
+    for m, basis, which, want in cases:
         assert _verdict(_check_basis, basis, m, which) == want
-    assert inverted == []
-    assert {w if w is None else w.replace("codomain", "domain") for w in wants} == {
+    assert {w if w is None else w.replace("codomain", "domain") for *_, w in cases} == {
         None,
         "singular matrix",
         "not square",
@@ -399,6 +402,18 @@ def test_basis_check_matches_applying_the_change(field_name, monkeypatch):
         "basis change does not fit module dims",
         "domain basis does not reduce the domain module",
     }
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_rank_proven_basis_check_matches_applying_the_change(field_name, monkeypatch):
+    """Invertibility is proven by rank alone: same verdicts and messages as
+    applying the change, and no inverse computed."""
+    cases = _basis_check_cases(field_name)
+    inverted = []
+    monkeypatch.setattr(persistence, "mat_inverse", inverted.append)
+    for m, basis, which, want in cases:
+        assert _verdict(_check_basis, basis, m, which) == want
+    assert inverted == []
 
 
 def _reference_from_single(mm, dom, cod, dom_basis, cod_basis):
