@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -101,8 +102,14 @@ def _parse_field_line(ls):
         raise ParseError(ls.lineno, "LADDERMOD_FIELD: %s" % e)
 
 
+# The tokens of a dims or delta line and of a matrix row are separated by
+# blanks, ASCII spaces and tabs only: str.split() would also split on other
+# whitespace (U+00A0, U+2003, ...), which the printer would write back as spaces.
+_TOKEN = re.compile(r"[^ \t]+")
+
+
 def _parse_ints(ls, line, prefix):
-    toks = line[len(prefix):].split()
+    toks = _TOKEN.findall(line[len(prefix):])
     if all(_INTEGER.fullmatch(tok) for tok in toks):
         try:
             return tuple(int(tok) for tok in toks)
@@ -114,7 +121,7 @@ def _parse_ints(ls, line, prefix):
 def _parse_matrix(ls, field, rows, cols, what):
     def token_rows():
         for _ in range(rows):
-            toks = ls.next("a row of %s" % what).split()
+            toks = _TOKEN.findall(ls.next("a row of %s" % what))
             if len(toks) != cols:
                 raise ParseError(
                     ls.lineno, "%s: expected %d entries, got %d" % (what, cols, len(toks))
@@ -131,7 +138,7 @@ def _parse_matrix(ls, field, rows, cols, what):
 def _parse_module_body(ls):
     field = _parse_field_line(ls)
     line = ls.next("dims")
-    if not line.startswith("dims"):
+    if line != "dims" and line[:5] not in ("dims ", "dims\t"):
         raise ParseError(ls.lineno, "expected 'dims ...', got '%s'" % line)
     dims = _parse_ints(ls, line, "dims")
     if not dims:

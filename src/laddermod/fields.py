@@ -23,9 +23,13 @@ and boxes its entries once, the first time they are read. A selection
 (identity, zero, the rigid maps of barcode bases) is a 0/1 raw block that
 also keeps the column of each row's 1, so mat_mul multiplies by it by
 picking rows or columns. Products, eliminations, submatrix picks
-(_select), pivot columns (_pivots), equality and hashing run on the raw
-block, so a chain of kernel calls never boxes an intermediate. Only this module touches the representation; outside it, only
-the barcode sweep and the basis fold use the raw-row interface.
+(_select), column joins (_join_cols), nonzero positions (_nonzeros), pivot
+columns (_pivots), equality and hashing run on the raw block, so a chain of
+kernel calls never boxes an intermediate. Only this module touches the
+representation. Outside it, the raw-row interface serves the barcode sweep,
+the basis fold, and the matching-form reducer with its ops and its search;
+only the scalars of recorded ops and the entries a caller reads are boxed,
+and over QQ every zero entry is one shared Fraction(0).
 
 No floats anywhere.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -178,6 +183,9 @@ def _not_an_element(field, entries, types):
     return ValueError("%r is not an element of %s" % (bad, field.name))
 
 
+_ZERO = Fraction(0)
+
+
 class RationalField:
     name = "rational"
 
@@ -217,9 +225,11 @@ class RationalField:
         return [x // g for x in ints], den // g
 
     def _drop(self, ints, den):
+        # a zero entry is the one shared _ZERO, so a sparse block builds a
+        # Fraction per nonzero only
         if den == 1:
-            return [Fraction(x) for x in ints]
-        return [Fraction(x, den) for x in ints]
+            return [Fraction(x) if x else _ZERO for x in ints]
+        return [Fraction(x, den) if x else _ZERO for x in ints]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -514,6 +524,26 @@ class Matrix:
                 b = i * c
                 picked += [0 if j is None else ints[b + j] for j in cols]
         return Matrix._of_raw(self.field, len(rows), width, picked, den)
+
+    @classmethod
+    def _join_cols(cls, field, rows, blocks):
+        """The matrix [b_1 | b_2 | ...] of blocks of rows rows each, joined
+        from their raw blocks without boxing an entry."""
+        raws = [b._block() for b in blocks]
+        den = lcm(*[d for _, d in raws])
+        parts = [(ints if d == den else [x * (den // d) for x in ints], b.cols)
+                 for (ints, d), b in zip(raws, blocks)]
+        joined = []
+        for i in range(rows):
+            for ints, c in parts:
+                joined += ints[i * c : i * c + c]
+        return cls._of_raw(field, rows, sum(b.cols for b in blocks), joined, den)
+
+    def _nonzeros(self):
+        """(i, j) of every nonzero entry, in row-major order, read from the
+        raw block without boxing an entry."""
+        ints, c = self._block()[0], self.cols
+        return [divmod(k, c) for k in compress(range(len(ints)), ints)]
 
 
 def _full_rank_mod(ints, rows, cols):

@@ -19,6 +19,7 @@ per zero row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .fields import Matrix, _axpy, _scaled
 # bench/workloads.py rebinds the imported from_single_matrix for its traced run.
@@ -56,62 +57,84 @@ class AdmissibleOp:
             mm.field.fmt(self.scalar), mm.row_gens[self.source].bar)
 
 
-def _apply(rows, ok, row_gens, col_gens, op):
-    """Apply one admissible operation to the row lists, in place.
+def _scalar(field, n, d):
+    """The canonical raw scalar (n', d') of n / d, for d nonzero."""
+    (n,), d = field._norm([n], d)
+    return n, d
+
+
+def _working_rows(mm):
+    """The entries of mm as canonical raw rows (ints, den), so that rows of
+    equal values are equal pairs."""
+    field = mm.field
+    return [field._norm(n, d) for n, d in mm.entries._raw_rows()]
+
+
+def _apply(rows, ok, mm, kind, t, src, sn, sd):
+    """Apply one admissible operation with the canonical raw scalar sn / sd
+    to the canonical raw rows of mm's entries, in place. A changed row is
+    replaced by a new canonical pair and no ints list is written, so a copy
+    of the list rows is a snapshot.
 
     rows must already satisfy the support mask ok. An addition then changes
     only its target column or row, and the coefficients the mask would drop
     there are the ones landing on entries that must stay zero, so those
-    entries are skipped instead of written and cleared again. Terms with a
-    zero factor are skipped too: they change no value.
+    entries are skipped instead of written and cleared again. A row op is
+    one masked _axpy. A column op leaves a row alone when its term has a zero
+    factor, and rescales a row it changes by sd, which keeps the row exact,
+    before normalising it.
     """
-    k, s = op.kind, op.scalar
-    if k in ("scale-col", "scale-row"):
-        if not s:
+    field = mm.field
+    if kind in ("scale-col", "scale-row"):
+        if not sn:
             raise ValueError("scale by zero")
-        if k == "scale-col":
-            t = op.target
-            for row in rows:
-                if row[t]:
-                    row[t] = row[t] * s
-        else:
-            rows[op.target] = [x * s for x in rows[op.target]]
-    elif k in ("AO1-col", "AO2"):
-        t, src = op.target, op.source
+        if kind == "scale-row":
+            rows[t] = _scaled(field, rows[t], sn, sd)
+            return
+    elif kind in ("AO1-col", "AO2"):
         if t == src:
             raise ValueError("column op onto itself")
-        tb, sb = col_gens[t].bar, col_gens[src].bar
-        if k == "AO1-col":
+        tb, sb = mm.col_gens[t].bar, mm.col_gens[src].bar
+        if kind == "AO1-col":
             if tb != sb:
                 raise ValueError("AO1-col needs equal bars, got %s and %s" % (sb, tb))
         elif not interval_overlap(sb, tb):
             raise ValueError("AO2 needs %s to overlap-precede %s" % (sb, tb))
-        for row, allowed in zip(rows, ok):
-            x = row[src]
-            if x and allowed[t]:
-                row[t] = row[t] + s * x
-    elif k in ("AO1-row", "AO3"):
-        t, src = op.target, op.source
+    elif kind in ("AO1-row", "AO3"):
         if t == src:
             raise ValueError("row op onto itself")
-        tb, sb = row_gens[t].bar, row_gens[src].bar
-        if k == "AO1-row":
+        tb, sb = mm.row_gens[t].bar, mm.row_gens[src].bar
+        if kind == "AO1-row":
             if tb != sb:
                 raise ValueError("AO1-row needs equal bars, got %s and %s" % (sb, tb))
         elif not interval_overlap(tb, sb):
             raise ValueError("AO3 needs %s to overlap-precede %s" % (tb, sb))
-        target, allowed = rows[t], ok[t]
-        for c, x in enumerate(rows[src]):
-            if x and allowed[c]:
-                target[c] = target[c] + s * x
+        n, d = rows[src]
+        masked = [x if allowed else 0 for x, allowed in zip(n, ok[t])]
+        rows[t] = _axpy(field, rows[t], sn, sd, (masked, d))
+        return
     else:
-        raise ValueError("unknown op kind %r" % k)
+        raise ValueError("unknown op kind %r" % kind)
+    # a column op: entry t becomes v / (d * sd), and the others are kept
+    for i, ((n, d), allowed) in enumerate(zip(rows, ok)):
+        if kind == "scale-col":
+            if not n[t]:
+                continue
+            v = n[t] * sn
+        else:
+            x = n[src]
+            if not (x and allowed[t]):
+                continue
+            v = n[t] * sd + sn * x
+        m = [y * sd for y in n] if sd != 1 else list(n)
+        m[t] = v
+        rows[i] = field._norm(m, d * sd)
 
 
 def _rebuilt(mm, rows):
-    """mm's generators around new entry rows."""
+    """mm's generators around new raw entry rows."""
     return MorphismMatrix(
-        mm.row_gens, mm.col_gens, Matrix.from_rows(mm.field, rows, cols=len(mm.col_gens))
+        mm.row_gens, mm.col_gens, Matrix._from_raw_rows(mm.field, rows, len(mm.col_gens))
     )
 
 
@@ -121,20 +144,24 @@ def apply_op(mm, op):
 
 
 def apply_ops(mm, ops):
-    """Apply admissible operations in order, on one working copy of the entries."""
-    rows = mm.entries.to_lists()
+    """Apply admissible operations in order, on one working copy of the
+    entries. The field lifts each scalar, and refuses one that is not its
+    element."""
+    field = mm.field
+    rows = _working_rows(mm)
     ok = _support(mm.row_gens, mm.col_gens)
     for op in ops:
-        _apply(rows, ok, mm.row_gens, mm.col_gens, op)
+        (n,), d = field._lift([op.scalar])
+        _apply(rows, ok, mm, op.kind, op.target, op.source, n, d)
     return _rebuilt(mm, rows)
 
 
 def _pattern(rows):
-    """(r, c) of every nonzero entry, in row order, or None when a row or a
-    column holds two."""
+    """(r, c) of every nonzero entry of the raw rows, in row order, or None
+    when a row or a column holds two."""
     pattern, cols = [], set()
-    for r, row in enumerate(rows):
-        nz = [c for c, x in enumerate(row) if x]
+    for r, (n, _) in enumerate(rows):
+        nz = list(compress(range(len(n)), n))
         if len(nz) > 1 or nz and nz[0] in cols:
             return None
         cols.update(nz)
@@ -142,12 +169,16 @@ def _pattern(rows):
     return pattern
 
 
+def _matched(rows):
+    """Whether the raw rows hold at most one nonzero entry per row and per
+    column, each of them one."""
+    pattern = _pattern(rows)
+    return pattern is not None and all(rows[r][0][c] == rows[r][1] for r, c in pattern)
+
+
 def is_matching_form(mm):
     """At most one nonzero entry per row and per column, and each such entry is one."""
-    rows = mm.entries.to_lists()
-    pattern = _pattern(rows)
-    one = mm.field.one()
-    return pattern is not None and all(rows[r][c] == one for r, c in pattern)
+    return _matched(mm.entries._raw_rows())
 
 
 @dataclass(frozen=True)
@@ -184,12 +215,12 @@ def _blocking_failure(mm, rows, ops, r, c, row_pivot, col_pivot):
     usable_rows = tuple(
         k
         for k in range(len(mm.row_gens))
-        if k != r and rows[k][c] and interval_overlap(rbar, mm.row_gens[k].bar)
+        if k != r and rows[k][0][c] and interval_overlap(rbar, mm.row_gens[k].bar)
     )
     usable_cols = tuple(
         k
         for k in range(len(mm.col_gens))
-        if k != c and rows[r][k] and interval_overlap(mm.col_gens[k].bar, cbar)
+        if k != c and rows[r][0][k] and interval_overlap(mm.col_gens[k].bar, cbar)
     )
     certified = not usable_rows and not usable_cols
     msg = (
@@ -230,17 +261,22 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
     pivot_rule picks which free entry of a block becomes the pivot ("first" or
     "last" in row-then-column order); every choice leads to the same matched
     pairs, the option exists to exercise that fact.
+
+    The schedule runs on canonical raw rows (see fields): each scalar is a
+    raw quotient, and it is boxed once, for the op that records it.
     """
     if pivot_rule not in ("first", "last"):
         raise ValueError("pivot_rule must be 'first' or 'last'")
-    one = mm.field.one()
-    rows = mm.entries.to_lists()
+    field = mm.field
+    rows = _working_rows(mm)
     ok = _support(mm.row_gens, mm.col_gens)
     ops = []
 
-    def do(op):
-        _apply(rows, ok, mm.row_gens, mm.col_gens, op)
-        ops.append(op)
+    def do(kind, t, src, n, d):
+        """Apply and record the op of scalar n / d."""
+        n, d = _scalar(field, n, d)
+        _apply(rows, ok, mm, kind, t, src, n, d)
+        ops.append(AdmissibleOp(kind, t, src, field._drop([n], d)[0]))
 
     col_blocks = _blocks(mm.col_gens)
     row_blocks = _blocks(mm.row_gens)
@@ -249,10 +285,12 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
 
     for cbar, cidx in col_blocks:
         for rbar, ridx in reversed(row_blocks):
-            # first clear entries sitting in already matched rows or columns
+            # first clear entries sitting in already matched rows or columns;
+            # an entry of row r is n[c] / d for (n, d) = rows[r]
             for r in ridx:
                 for c in cidx:
-                    v = rows[r][c]
+                    n, d = rows[r]
+                    v = n[c]
                     if not v:
                         continue
                     if row_pivot[r] is None and col_pivot[c] is None:
@@ -261,16 +299,17 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
                     if col_pivot[c] is not None:
                         src = col_pivot[c]
                         if interval_overlap(rbar, mm.row_gens[src].bar):
-                            do(AdmissibleOp("AO3", r, src, -v / rows[src][c]))
+                            m, e = rows[src]
+                            do("AO3", r, src, -v * e, d * m[c])
                             done = True
                     if not done and row_pivot[r] is not None:
                         src = row_pivot[r]
                         sbar = mm.col_gens[src].bar
                         if sbar == cbar:
-                            do(AdmissibleOp("AO1-col", c, src, -v / rows[r][src]))
+                            do("AO1-col", c, src, -v, n[src])
                             done = True
                         elif interval_overlap(sbar, cbar):
-                            do(AdmissibleOp("AO2", c, src, -v / rows[r][src]))
+                            do("AO2", c, src, -v, n[src])
                             done = True
                     if not done:
                         return _blocking_failure(mm, rows, ops, r, c, row_pivot, col_pivot)
@@ -280,27 +319,28 @@ def reduce_to_matching_form(mm, pivot_rule="first"):
                     (r, c)
                     for r in ridx
                     for c in cidx
-                    if row_pivot[r] is None and col_pivot[c] is None and rows[r][c]
+                    if row_pivot[r] is None and col_pivot[c] is None and rows[r][0][c]
                 ]
                 if not free:
                     break
                 r, c = free[0] if pivot_rule == "first" else free[-1]
-                v = rows[r][c]
-                if v != one:
-                    do(AdmissibleOp("scale-col", c, c, one / v))
+                n, d = rows[r]
+                if n[c] != d:
+                    do("scale-col", c, c, d, n[c])
                 for r2 in ridx:
-                    if r2 != r and row_pivot[r2] is None and rows[r2][c]:
-                        do(AdmissibleOp("AO1-row", r2, r, -rows[r2][c]))
+                    m, e = rows[r2]
+                    if r2 != r and row_pivot[r2] is None and m[c]:
+                        do("AO1-row", r2, r, -m[c], e)
                 for c2 in cidx:
-                    if c2 != c and col_pivot[c2] is None and rows[r][c2]:
-                        do(AdmissibleOp("AO1-col", c2, c, -rows[r][c2]))
+                    n, d = rows[r]
+                    if c2 != c and col_pivot[c2] is None and n[c2]:
+                        do("AO1-col", c2, c, -n[c2], d)
                 row_pivot[r] = c
                 col_pivot[c] = r
 
-    cur = _rebuilt(mm, rows)
-    if not is_matching_form(cur):
+    if not _matched(rows):
         raise RuntimeError("schedule finished but matrix is not in matching form")
-    return cur, tuple(ops)
+    return _rebuilt(mm, rows), tuple(ops)
 
 
 @dataclass(frozen=True)
@@ -320,7 +360,11 @@ def search_matching_form(mm, max_states=200000):
     is sound: a returned matrix is a genuine matching form reached by
     admissible ops. It is not complete in principle, since a matching form
     reachable only through measure-increasing detours would be missed.
+
+    A state is a tuple of canonical raw rows ((ints, den) with ints a tuple),
+    so states of equal values are equal keys.
     """
+    field = mm.field
     nrows, ncols = len(mm.row_gens), len(mm.col_gens)
     ok = _support(mm.row_gens, mm.col_gens)
 
@@ -340,16 +384,16 @@ def search_matching_form(mm, max_states=200000):
     ]
 
     def measure(state):
-        return sum(w for wrow, row in zip(weight, state) for w, x in zip(wrow, row) if x)
+        return sum(w for wrow, (n, _) in zip(weight, state) for w, x in zip(wrow, n) if x)
 
     def successors(state):
         m0 = measure(state)
         out = []
 
-        def add(op):
-            rows = [list(row) for row in state]
-            _apply(rows, ok, mm.row_gens, mm.col_gens, op)
-            nd = tuple(map(tuple, rows))
+        def add(kind, t, s, n, d):
+            rows = list(state)
+            _apply(rows, ok, mm, kind, t, s, *_scalar(field, n, d))
+            nd = tuple((tuple(n), d) for n, d in rows)
             if measure(nd) < m0:
                 out.append(nd)
 
@@ -364,9 +408,9 @@ def search_matching_form(mm, max_states=200000):
                     kind = "AO2"
                 else:
                     continue
-                for row in state:
-                    if row[s] and row[t]:
-                        add(AdmissibleOp(kind, t, s, -row[t] / row[s]))
+                for n, _ in state:
+                    if n[s] and n[t]:
+                        add(kind, t, s, -n[t], n[s])
         for s in range(nrows):
             for t in range(nrows):
                 if s == t:
@@ -378,13 +422,14 @@ def search_matching_form(mm, max_states=200000):
                     kind = "AO3"
                 else:
                     continue
-                for vs, vt in zip(state[s], state[t]):
+                (ns, ds), (nt, dt) = state[s], state[t]
+                for vs, vt in zip(ns, nt):
                     if vs and vt:
-                        add(AdmissibleOp(kind, t, s, -vt / vs))
+                        add(kind, t, s, -vt * ds, dt * vs)
         return out
 
     seen = set()
-    stack = [tuple(mm.entries.row(r) for r in range(nrows))]
+    stack = [tuple((tuple(n), d) for n, d in _working_rows(mm))]
     states = 0
     truncated = False
     found = None
@@ -405,16 +450,14 @@ def search_matching_form(mm, max_states=200000):
     if found is None:
         return SearchResult(None, states, not truncated and not stack)
     # normalize the matched pattern to honest 1s by column scalings
-    one = mm.field.one()
-    rows = [list(row) for row in found]
+    rows = list(found)
     for r, c in _pattern(found):
-        v = rows[r][c]
-        if v != one:
-            _apply(rows, ok, mm.row_gens, mm.col_gens, AdmissibleOp("scale-col", c, c, one / v))
-    out = _rebuilt(mm, rows)
-    if not is_matching_form(out):
+        n, d = rows[r]
+        if n[c] != d:
+            _apply(rows, ok, mm, "scale-col", c, c, *_scalar(field, d, n[c]))
+    if not _matched(rows):
         raise RuntimeError("search result is not in matching form")
-    return SearchResult(out, states, True)
+    return SearchResult(_rebuilt(mm, rows), states, True)
 
 
 _SIDE_KINDS = {
@@ -515,7 +558,7 @@ def decompose(lm, dom_basis=None, cod_basis=None, pivot_rule="first"):
 def _summand_gens(matched):
     """(pairs, plus_gens, minus_gens) of a matching form: a (codomain, domain)
     pair per nonzero entry, the generators of zero columns and of zero rows."""
-    pattern = _pattern(matched.entries.to_lists())
+    pattern = _pattern(matched.entries._raw_rows())
     used_rows = {r for r, _ in pattern}
     used_cols = {c for _, c in pattern}
     pairs = tuple((matched.row_gens[r], matched.col_gens[c]) for r, c in pattern)

@@ -155,12 +155,10 @@ class MorphismMatrix:
             raise ValueError("generators out of order")
         if (self.entries.rows, self.entries.cols) != (len(self.row_gens), len(self.col_gens)):
             raise ValueError("entry matrix shape mismatch")
-        for rg, row in zip(self.row_gens, self.entries.to_lists()):
-            for cg, x in zip(self.col_gens, row):
-                if x and not interval_overlap(rg.bar, cg.bar):
-                    raise ValueError(
-                        "entry (%s, %s) violates the support constraint" % (rg.bar, cg.bar)
-                    )
+        for r, c in self.entries._nonzeros():
+            rbar, cbar = self.row_gens[r].bar, self.col_gens[c].bar
+            if not interval_overlap(rbar, cbar):
+                raise ValueError("entry (%s, %s) violates the support constraint" % (rbar, cbar))
 
     @property
     def field(self):
@@ -224,16 +222,14 @@ def to_single_matrix(lm, dom_basis, cod_basis):
         if bad is not None:
             raise ValueError("the components do not define a morphism: %s" % bad)
     field, g, h = lm.dom.field, dom_basis.change.mats, cod_basis.change.mats
-    rows = [[] for _ in cod_basis.generators]
+    blocks = []
     for t, born in groupby(dom_basis.generators, key=lambda gen: gen.bar.a):
         at = {gen.positions[0]: k for k, gen in enumerate(born)}
         E = Matrix._selection(field, len(at), [at.get(p) for p in range(g[t].rows)])
         alive = [gen.position_at(t) if gen.bar.contains_index(t) else None
                  for gen in cod_basis.generators]
-        block = mat_mul(h[t], mat_mul(lm.comps[t], mat_solve(g[t], E)))._select(alive)
-        for row, picked in zip(rows, block.to_lists()):
-            row += picked
-    entries = Matrix.from_rows(field, rows, cols=len(dom_basis.generators))
+        blocks.append(mat_mul(h[t], mat_mul(lm.comps[t], mat_solve(g[t], E)))._select(alive))
+    entries = Matrix._join_cols(field, len(cod_basis.generators), blocks)
     return MorphismMatrix(tuple(cod_basis.generators), tuple(dom_basis.generators), entries)
 
 
@@ -282,7 +278,9 @@ def _unmet_level(mm, lm, dom_basis, cod_basis):
     _check_basis(dom_basis, lm.dom, "domain")
     _check_basis(cod_basis, lm.cod, "codomain")
     g, h = dom_basis.change.mats, cod_basis.change.mats
-    matched = [next((c for c, x in enumerate(row) if x), None) for row in mm.entries.to_lists()]
+    matched = [None] * len(mm.row_gens)
+    for r, c in mm.entries._nonzeros():
+        matched[r] = c
     for t, (rows, cols) in enumerate(_level_indices(mm, dom_basis, cod_basis)):
         at = {c: k for k, c in enumerate(cols)}
         P = Matrix._selection(mm.field, len(cols), [at.get(matched[r]) for r in rows])

@@ -401,6 +401,29 @@ def test_integer_lines_follow_the_ascii_grammar(data_dir, tmp_path, capsys, monk
     assert print_module(m) == "module\nfield prime 7\ndims 3\n"
 
 
+def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys):
+    # str.split() also splits on U+00A0 and U+2003, and dims3 once read as
+    # dims 3: print_module would write each back as other bytes
+    refused = [
+        ("V.txt", 3, "dims3", "expected 'dims ...', got 'dims3'"),
+        ("V.txt", 3, "dims 1\u00a02 2 2 3 1 1 1", "bad integer list in 'dims 1\u00a02 2 2 3 1 1 1'"),
+        ("run.txt", 2, "delta 1\u2003", "bad integer list in 'delta 1\u2003'"),
+        # map 1 of V.txt has one column, so the row is one token of the entry grammar
+        ("V.txt", 5, "1\u20032", "map 1: Invalid literal for Fraction: '1\\u20032'"),
+    ]
+    for name, lineno, text, message in refused:
+        assert main(["decompose" if name == "run.txt" else "barcode",
+                     _with_line(data_dir, tmp_path, name, lineno, text)]) == 1
+        assert capsys.readouterr().err == "error: line %d: %s\n" % (lineno, message), text
+    # tabs are blanks, on the dims line and in matrix rows
+    tabbed = _with_line(data_dir, tmp_path, "V.txt", 3, "dims\t1 2\t2 2 3 1 1 1")
+    with open(tabbed) as f:
+        text = f.read().replace("\n1 0\n0 1\n", "\n1\t0\n0 \t1\n")
+    assert "1\t0" in text
+    with open(data(data_dir, "V.txt")) as f:
+        assert print_module(parse_module_text(text)) == f.read()
+
+
 def _bytes_with_bad_line(path, lineno):
     """The bytes of path with byte 0xff put at the end of line lineno."""
     with open(path, "rb") as f:

@@ -538,6 +538,44 @@ def test_select_matches_entry_reads(field):
                     assert [type(x) for x in got.data] == [type(x) for x in want.data]
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.name)
+def test_column_joins_and_nonzero_positions_match_entry_reads(field):
+    # the single matrix is joined from raw blocks over different denominators,
+    # and its support is read from the raw block
+    rng = random.Random("join/" + field.name)
+    for _ in range(60):
+        rows = rng.randint(0, 4)
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            cols = rng.randint(0, 3)
+            a = Matrix.from_rows(
+                field, [[_random_entry(rng, field) for _ in range(cols)] for _ in range(rows)],
+                cols=cols)
+            # a kernel result holds a raw block, over its own denominator
+            twice = Matrix.from_int_rows(
+                field, [[2 * (i == j) for j in range(cols)] for i in range(cols)], cols=cols)
+            blocks.append(rng.choice((a, mat_mul(a, twice))))
+        width = sum(b.cols for b in blocks)
+        want = Matrix.from_rows(
+            field, [[x for b in blocks for x in b.row(i)] for i in range(rows)], cols=width)
+        got = Matrix._join_cols(field, rows, blocks)
+        assert (got.rows, got.cols) == (rows, width)
+        assert got == want and got.data == want.data
+        assert got._nonzeros() == [
+            (i, j) for i in range(rows) for j in range(width) if want.get(i, j)]
+
+
+def test_boxed_zero_entries_share_one_fraction():
+    # a sparse kernel result builds a Fraction per nonzero entry only
+    for rows in ([[0, 2, 0], [0, 0, 0]], [[0, QQ.of(1, 2), 0], [0, 0, 0]]):
+        m = mat_mul(Matrix.from_rows(QQ, [[QQ.of(x) for x in r] for r in rows]),
+                    Matrix.from_int_rows(QQ, [[1, 0, 0], [0, 3, 0], [0, 0, 1]]))
+        assert all(type(x) is Fraction for x in m.data)
+        zeros = [x for x in m.data if x == 0]
+        assert len(zeros) == 5 and len({id(x) for x in zeros}) == 1
+        assert m.data[1] == 3 * rows[0][1]
+
+
 def _partial_permutation(rng, rows, cols):
     """A pick for Matrix._selection: distinct columns, None for a zero row."""
     hit = rng.sample(range(cols), rng.randint(0, min(rows, cols)))

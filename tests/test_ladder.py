@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import census
 import gen
 from laddermod import (
     AdmissibleOp,
@@ -663,3 +664,153 @@ def test_decompose_with_an_empty_side(field_name):
         summands = dec.summands()
         assert {s.split()[0] for s in summands} == kinds and len(summands) == max(shape)
         assert verify_decomposition(lm, dec) is None
+
+
+def _boxed_failure(mm, fail):
+    """(stuck, usable_rows, usable_cols, certified) of a ReductionFailure,
+    recomputed on boxed entries: its ops replayed through reference_apply,
+    and the usable sources of its entry read entry by entry."""
+    stuck = mm
+    for op in fail.ops:
+        stuck = reference_apply(stuck, op)
+    r, c = fail.row, fail.col
+    zero = mm.field.zero()
+    assert stuck.entry(r, c) != zero
+    rbar, cbar = mm.row_gens[r].bar, mm.col_gens[c].bar
+    rows = tuple(k for k, g in enumerate(mm.row_gens)
+                 if k != r and stuck.entry(k, c) != zero and interval_overlap(rbar, g.bar))
+    cols = tuple(k for k, g in enumerate(mm.col_gens)
+                 if k != c and stuck.entry(r, k) != zero and interval_overlap(g.bar, cbar))
+    return stuck, rows, cols, not rows and not cols
+
+
+def _failure_fields(fail):
+    return fail.stuck, fail.usable_rows, fail.usable_cols, fail.certified
+
+
+def test_counterexample_failure_matches_boxed_replay(counterexample):
+    for rule in ("first", "last"):
+        fail = reduce_to_matching_form(counterexample.mm, pivot_rule=rule)
+        assert _failure_fields(fail) == _boxed_failure(counterexample.mm, fail)
+
+
+# The census counts (tests/census.py) as the reducer gave them on boxed field
+# elements, before it moved to raw rows. The first four of F_2 are ROADMAP
+# item 2's: morphisms, failures, uncertified failures, and failures the
+# search resolves.
+CENSUS_COUNTS = {
+    (2, 2, 2): dict(morphisms=2585, failures=26, uncertified=6, resolved=6, exhausted=20,
+                    states=44),
+    (2, 3, 2): dict(morphisms=13342, failures=257, uncertified=42, resolved=42, exhausted=215,
+                    states=395),
+    (3, 2, 2): dict(morphisms=7685, failures=160, uncertified=64, resolved=64, exhausted=96,
+                    states=344),
+}
+
+
+@pytest.mark.parametrize("p, grid_len, max_bars", sorted(CENSUS_COUNTS))
+def test_census_of_small_morphisms(p, grid_len, max_bars):
+    # every success replays through the boxed reference to its matching form,
+    # and every failure reads as its boxed replay does
+    last = []
+
+    def on_success(mm, matched, ops):
+        if last != [mm, ops]:  # the other pivot rule often takes the same ops
+            replayed = mm
+            for op in ops:
+                replayed = reference_apply(replayed, op)
+            assert replayed == matched
+            last[:] = [mm, ops]
+
+    def on_failure(mm, fail):
+        assert _failure_fields(fail) == _boxed_failure(mm, fail)
+
+    counts = census.census(p, grid_len, max_bars, on_success, on_failure)
+    assert counts["nested-free failures"] == 0
+    assert counts["certified but resolved"] == 0
+    assert counts["uncertified and open"] == 0
+    want = CENSUS_COUNTS[p, grid_len, max_bars]
+    assert counts["morphisms"] == want["morphisms"]
+    assert counts["search states"] == want["states"]
+    for rule in census.PIVOT_RULES:
+        got = [counts[key + " " + rule] for key in ("failures", "uncertified", "resolved", "exhausted")]
+        assert got == [want["failures"], want["uncertified"], want["resolved"], want["exhausted"]]
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_apply_op_refuses_scalars_outside_the_field(field_name):
+    field = field_by_name(field_name)
+    V = module_from_barcode(field, 4, [I(1, 3), I(2, 4)])
+    W = module_from_barcode(field, 4, [I(0, 1)])
+    bv, bw = reduce_to_barcode_basis(V), reduce_to_barcode_basis(W)
+    mm = MorphismMatrix(
+        tuple(bw.generators), tuple(bv.generators), Matrix.from_int_rows(field, [[1, 0]])
+    )
+    other = field_by_name("prime 3").one()
+    foreign = ("mixed characteristics 5 and 3" if field_name == "prime 5"
+               else "Fp(1,3) is not an element of rational")
+    cases = [(other, foreign), (1.5, "1.5 is not an element of " + field.name),
+             ("x", "'x' is not an element of " + field.name)]
+    for kind, t, src in (("AO2", 1, 0), ("scale-col", 0, 0), ("scale-row", 0, 0)):
+        for scalar, msg in cases:
+            with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+                apply_op(mm, AdmissibleOp(kind, t, src, scalar))
+        for zero in (field.zero(), 0):
+            if kind.startswith("scale"):
+                with pytest.raises(ValueError, match="^scale by zero$"):
+                    apply_op(mm, AdmissibleOp(kind, t, src, zero))
+    # an int is read in the field, as field arithmetic reads it
+    assert apply_op(mm, AdmissibleOp("scale-row", 0, 0, 3)).entries == Matrix.from_int_rows(
+        field, [[3, 0]])
+
+
+@pytest.mark.parametrize("field_name", ["rational", "prime 5"])
+def test_apply_op_on_thin_single_matrices(field_name):
+    # one row, one column, no rows and no columns: every admissible op gives
+    # the boxed reference's matrix, and the refusals keep their messages
+    field = field_by_name(field_name)
+    half, two = field.of(1, 2), field.of(2)
+
+    def gens(bars):
+        return tuple(BarGenerator(b, k, tuple(range(b.length + 1))) for k, b in enumerate(bars))
+
+    def single(rows, cols, ints):
+        return MorphismMatrix(gens(rows), gens(cols),
+                              Matrix.from_int_rows(field, ints, cols=len(cols)))
+
+    one_row = single([I(0, 2)], [I(0, 2), I(0, 2), I(1, 3)], [[1, 2, 3]])
+    one_col = single([I(0, 2), I(0, 2), I(0, 3)], [I(1, 3)], [[1], [2], [3]])
+    no_rows = single([], [I(0, 2), I(0, 2), I(1, 3)], [])
+    no_cols = single([I(0, 2), I(0, 2), I(0, 3)], [], [[], [], []])
+    good = [
+        (one_row, AdmissibleOp("scale-col", 2, 2, half)),
+        (one_row, AdmissibleOp("scale-row", 0, 0, two)),
+        (one_row, AdmissibleOp("AO1-col", 1, 0, half)),
+        (one_row, AdmissibleOp("AO2", 2, 0, -two)),
+        (one_col, AdmissibleOp("AO1-row", 0, 1, half)),
+        (one_col, AdmissibleOp("AO3", 0, 2, two)),
+        (one_col, AdmissibleOp("scale-col", 0, 0, half)),
+        (no_rows, AdmissibleOp("AO2", 2, 1, two)),
+        (no_rows, AdmissibleOp("scale-col", 0, 0, half)),
+        (no_cols, AdmissibleOp("AO1-row", 1, 0, half)),
+        (no_cols, AdmissibleOp("scale-row", 2, 2, two)),
+    ]
+    for mm, op in good:
+        assert apply_op(mm, op) == reference_apply(mm, op)
+    bad = [
+        (one_row, AdmissibleOp("AO1-col", 0, 0, two), "column op onto itself"),
+        (one_row, AdmissibleOp("AO1-col", 2, 0, two), "AO1-col needs equal bars, got [0,2] and [1,3]"),
+        (one_row, AdmissibleOp("AO2", 0, 2, two), "AO2 needs [1,3] to overlap-precede [0,2]"),
+        (one_col, AdmissibleOp("AO3", 1, 1, two), "row op onto itself"),
+        (one_col, AdmissibleOp("AO1-row", 2, 0, two), "AO1-row needs equal bars, got [0,2] and [0,3]"),
+        (one_col, AdmissibleOp("AO3", 2, 0, two), "AO3 needs [0,3] to overlap-precede [0,2]"),
+        (no_rows, AdmissibleOp("scale-col", 1, 1, field.zero()), "scale by zero"),
+        (no_cols, AdmissibleOp("swap", 0, 1, two), "unknown op kind 'swap'"),
+    ]
+    for mm, op, msg in bad:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg)):
+            apply_op(mm, op)
+    for mm in (one_row, one_col, no_rows, no_cols):
+        matched, ops = reduce_to_matching_form(mm)
+        assert apply_ops(mm, ops) == matched and is_matching_form(matched)
+        assert search_matching_form(mm).found is not None

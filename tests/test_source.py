@@ -152,8 +152,9 @@ def test_only_fields_touches_raw_scalars():
 
 
 def test_raw_rows_stay_behind_fields():
-    # the raw-row interface of fields.py serves the barcode sweep and the basis
-    # fold; every other module reads and builds matrices through Matrix methods
+    # the raw-row interface of fields.py serves the barcode sweep, the basis
+    # fold and the matching-form reducer with its ops and its search; every
+    # other module reads and builds matrices through Matrix methods
     interface = {"_lift", "_norm", "_drop", "_block", "_raw_rows", "_of_raw",
                  "_from_raw_rows", "_axpy", "_scaled", "_eliminate"}
     allowed = {"fields.py", "persistence.py", "ladder.py"}
