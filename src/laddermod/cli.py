@@ -108,8 +108,21 @@ def _parse_field_line(ls):
 _TOKEN = re.compile(r"[^ \t]+")
 
 
+def _tokens(line):
+    """The blank-separated tokens of line; a line of single spaces, as the
+    printer writes, takes the fast path."""
+    toks = line.split(" ")
+    return toks if "\t" not in line and "" not in toks else _TOKEN.findall(line)
+
+
+def _is_keyword_line(line, keyword):
+    """line is keyword alone, or keyword followed by a blank."""
+    head = _TOKEN.match(line)
+    return head is not None and head.group() == keyword
+
+
 def _parse_ints(ls, line, prefix):
-    toks = _TOKEN.findall(line[len(prefix):])
+    toks = _tokens(line[len(prefix):])
     if all(_INTEGER.fullmatch(tok) for tok in toks):
         try:
             return tuple(int(tok) for tok in toks)
@@ -121,7 +134,7 @@ def _parse_ints(ls, line, prefix):
 def _parse_matrix(ls, field, rows, cols, what):
     def token_rows():
         for _ in range(rows):
-            toks = _TOKEN.findall(ls.next("a row of %s" % what))
+            toks = _tokens(ls.next("a row of %s" % what))
             if len(toks) != cols:
                 raise ParseError(
                     ls.lineno, "%s: expected %d entries, got %d" % (what, cols, len(toks))
@@ -138,7 +151,7 @@ def _parse_matrix(ls, field, rows, cols, what):
 def _parse_module_body(ls):
     field = _parse_field_line(ls)
     line = ls.next("dims")
-    if line != "dims" and line[:5] not in ("dims ", "dims\t"):
+    if not _is_keyword_line(line, "dims"):
         raise ParseError(ls.lineno, "expected 'dims ...', got '%s'" % line)
     dims = _parse_ints(ls, line, "dims")
     if not dims:
@@ -233,7 +246,7 @@ def parse_morphism_text(text):
     _expect(ls, "morphism")
     delta = 0
     line = ls.peek()
-    if line is not None and line.startswith("delta "):
+    if line is not None and _is_keyword_line(line, "delta"):
         ls.next("delta")
         vals = _parse_ints(ls, line, "delta")
         if len(vals) != 1 or vals[0] < 0:

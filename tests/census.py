@@ -8,7 +8,7 @@ search_matching_form. The tier-1 suite runs the small slices
 (tests/test_ladder.py); the full L = 3, K = 3 run over F_2 (1,438,888
 morphisms, a few minutes) is this script:
 
-    PYTHONPATH=src python tests/census.py --grid 3 --bars 3
+    PYTHONPATH=src python tests/census.py
 
 It prints its counts, and exits with status 1 when a pair of nested-free
 barcodes fails, or when a certified failure has a matching form.
@@ -16,7 +16,6 @@ barcodes fails, or when a certified failure has a matching form.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from collections import Counter
@@ -111,15 +110,11 @@ def census(p, grid_len, max_bars, on_success=None, on_failure=None):
 FAULTS = ("nested-free failures", "certified but resolved")
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--prime", type=int, default=2)
-    ap.add_argument("--grid", type=int, default=3, help="grid length L: bars on 0..L")
-    ap.add_argument("--bars", type=int, default=3, help="at most K bars per side")
-    args = ap.parse_args(argv)
-    counts = census(args.prime, args.grid, args.bars)
+def main():
+    p, grid_len, max_bars = 2, 3, 3
+    counts = census(p, grid_len, max_bars)
     print("census over F_%d, grid 0..%d, 1..%d bars per side, search budget %d states"
-          % (args.prime, args.grid, args.bars, MAX_STATES))
+          % (p, grid_len, max_bars, MAX_STATES))
     for key in sorted(counts):
         print("%-24s %d" % (key, counts[key]))
     faults = [key for key in FAULTS if counts[key]]

@@ -402,8 +402,8 @@ def test_integer_lines_follow_the_ascii_grammar(data_dir, tmp_path, capsys, monk
 
 
 def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys):
-    # str.split() also splits on U+00A0 and U+2003, and dims3 once read as
-    # dims 3: print_module would write each back as other bytes
+    # a blank is an ASCII space or tab; a keyword ends at a blank, and any
+    # other text refused here would print back as other bytes
     refused = [
         ("V.txt", 3, "dims3", "expected 'dims ...', got 'dims3'"),
         ("V.txt", 3, "dims 1\u00a02 2 2 3 1 1 1", "bad integer list in 'dims 1\u00a02 2 2 3 1 1 1'"),
@@ -415,13 +415,19 @@ def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys):
         assert main(["decompose" if name == "run.txt" else "barcode",
                      _with_line(data_dir, tmp_path, name, lineno, text)]) == 1
         assert capsys.readouterr().err == "error: line %d: %s\n" % (lineno, message), text
-    # tabs are blanks, on the dims line and in matrix rows
+    # tabs are blanks, on the dims line and in matrix rows, and a run of
+    # blanks is one separator
     tabbed = _with_line(data_dir, tmp_path, "V.txt", 3, "dims\t1 2\t2 2 3 1 1 1")
     with open(tabbed) as f:
-        text = f.read().replace("\n1 0\n0 1\n", "\n1\t0\n0 \t1\n")
-    assert "1\t0" in text
+        text = f.read().replace("\n1 0\n0 1\n", "\n1\t0\n 0  1 \n")
+    assert "1\t0\n 0  1 \n" in text
     with open(data(data_dir, "V.txt")) as f:
         assert print_module(parse_module_text(text)) == f.read()
+    # and on the delta line
+    with open(_with_line(data_dir, tmp_path, "run.txt", 2, "delta\t1")) as f:
+        text = f.read()
+    with open(data(data_dir, "run.txt")) as f:
+        assert print_morphism(parse_morphism_text(text)) == f.read()
 
 
 def _bytes_with_bad_line(path, lineno):
