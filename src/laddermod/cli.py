@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import dataclass
 
-from .fields import _INTEGER, Matrix, field_by_name
+from .fields import _INTEGER, _TOKEN, Matrix, field_by_name
 from .persistence import (
     PersistenceModule,
     reduce_to_barcode_basis,
@@ -102,12 +101,6 @@ def _parse_field_line(ls):
         raise ParseError(ls.lineno, "LADDERMOD_FIELD: %s" % e)
 
 
-# The tokens of a dims or delta line and of a matrix row are separated by
-# blanks, ASCII spaces and tabs only: str.split() would also split on other
-# whitespace (U+00A0, U+2003, ...), which the printer would write back as spaces.
-_TOKEN = re.compile(r"[^ \t]+")
-
-
 def _tokens(line):
     """The blank-separated tokens of line; a line of single spaces, as the
     printer writes, takes the fast path."""
@@ -181,18 +174,11 @@ def parse_module_text(text):
     return m
 
 
-def _fmt_matrix_lines(mat):
-    out = []
-    for i in range(mat.rows):
-        out.append(" ".join(mat.field.fmt(v) for v in mat.row(i)))
-    return out
-
-
 def _module_lines(m):
     out = ["module", "field %s" % m.field.name, "dims %s" % " ".join(str(d) for d in m.dims)]
     for i in range(1, len(m.dims)):
         out.append("map %d" % i)
-        out.extend(_fmt_matrix_lines(m.map_at(i)))
+        out.extend(m.map_at(i)._fmt_rows())
     return out
 
 
@@ -292,7 +278,7 @@ def print_morphism(doc):
             out.append(head)
         for t, comp in enumerate(comps):
             out.append("comp %d" % t)
-            out.extend(_fmt_matrix_lines(comp))
+            out.extend(comp._fmt_rows())
     return "\n".join(out) + "\n"
 
 

@@ -14,22 +14,17 @@ Matrix.rank first seeks full rank modulo one fixed prime below 2^30, which
 proves the rank exactly when it is found, and runs _eliminate only when it
 is not.
 
-A Matrix holds one of three forms. Built by its constructor (tests,
-callers), it holds the field elements it was given, and keeps their raw block
-too once a kernel has lifted them. Built by a kernel (mat_mul, mat_inverse,
-mat_solve, _select, or the raw rows of the sweep and the basis fold) or by
-the parser (_parse), it holds one canonical raw block for the whole matrix,
-and boxes its entries once, the first time they are read. A selection
-(identity, zero, the rigid maps of barcode bases) is a 0/1 raw block that
-also keeps the column of each row's 1, so mat_mul multiplies by it by
-picking rows or columns. Products, eliminations, submatrix picks
-(_select), column joins (_join_cols), nonzero positions (_nonzeros), pivot
-columns (_pivots), equality and hashing run on the raw block, so a chain of
-kernel calls never boxes an intermediate. Only this module touches the
-representation. Outside it, the raw-row interface serves the barcode sweep,
-the basis fold, and the matching-form reducer with its ops and its search;
-only the scalars of recorded ops and the entries a caller reads are boxed,
-and over QQ every zero entry is one shared Fraction(0).
+A Matrix holds one canonical raw block for the whole matrix (see Matrix).
+Its constructors lift and check the entries they are given; kernels
+(mat_mul, mat_inverse, mat_solve, _select, the raw rows of the sweep and the
+basis fold) and the parser (_parse) build the block directly. Products,
+eliminations, submatrix picks, masks, column joins, nonzero positions, pivot
+columns, equality, hashing and printing run on the raw block, so a chain of
+kernel calls never boxes an intermediate. Readers box only the entries they
+return, and over QQ every zero entry is one shared Fraction(0). Only this
+module touches the representation. Outside it, the raw-row interface serves
+the barcode sweep, the basis fold, and the matching-form reducer with its
+ops and its search.
 
 No floats anywhere.
 """
@@ -38,7 +33,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import attrgetter, mul
 
@@ -53,6 +48,11 @@ _EXPONENT = re.compile(r"\s*[-+]?(\d[\d_]*\.?[\d_]*|\.\d[\d_]*)[eE]")
 # non-ASCII digits, which the printer would not give back. The integers of a
 # field spec and of the dims and delta lines follow _INTEGER.
 _INTEGER = re.compile(r"[-+]?[0-9]+")
+# A blank, between the words of a field spec and the tokens of a dims or delta
+# line or a matrix row, is an ASCII space or tab only: str.split() would also
+# split on other whitespace (U+00A0, U+2003, ...), which the printer would
+# write back as spaces.
+_TOKEN = re.compile(r"[^ \t]+")
 _FRACTION = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 _RATIONAL = re.compile(r"[-+]?([0-9]+(/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
 # The most digits in a row an entry may have (integer part, decimal part or
@@ -210,13 +210,16 @@ class RationalField:
         return str(x)
 
     def _lift(self, entries):
-        try:
-            den = lcm(*map(_den, entries))
-            if den == 1:
-                return list(map(_num, entries)), 1
-            return [x.numerator * (den // x.denominator) for x in entries], den
-        except (AttributeError, TypeError):
-            raise _not_an_element(self, entries, (int, Fraction)) from None
+        # int and Fraction (and their subclasses, such as bool) only: a numpy
+        # integer has a numerator too, but its products wrap around
+        if not {int, Fraction}.issuperset(map(type, entries)) and not all(
+            isinstance(x, (int, Fraction)) for x in entries
+        ):
+            raise _not_an_element(self, entries, (int, Fraction))
+        den = lcm(*set(map(_den, entries)))
+        if den == 1:
+            return list(map(_num, entries)), 1
+        return [x.numerator * (den // x.denominator) for x in entries], den
 
     def _norm(self, ints, den):
         g = gcd(*ints, den) * (-1 if den < 0 else 1)
@@ -310,7 +313,7 @@ QQ = RationalField()
 
 def field_by_name(name):
     """Parse a field spec string: 'rational' or 'prime <p>'."""
-    parts = name.strip().split()
+    parts = _TOKEN.findall(name)
     if parts == ["rational"]:
         return QQ
     if len(parts) == 2 and parts[0] == "prime" and _INTEGER.fullmatch(parts[1]):
@@ -321,33 +324,35 @@ def field_by_name(name):
 class Matrix:
     """Immutable dense matrix, row-major. Shapes with 0 rows or columns are fine.
 
-    It keeps the form it was built in (see the module docstring): the field
-    elements given to the constructor, with their raw block (ints, den) once
-    lifted; the canonical raw block of a kernel result or of parsed tokens,
-    whose entries are boxed when first read; or a selection, a 0/1 raw block
-    that also keeps _pick, the column of each row's 1 (None for a zero row).
-    Equality and hashing compare values in the field, through the raw block.
+    It holds one thing: _raw, the canonical raw block (ints, den) of its
+    entries, plus _pick, which is None except for a selection, where it is the
+    column of each row's 1 (None for a zero row). Canonical means equal values
+    give equal blocks: a kernel's block is normed when made, and _lift gives
+    canonical form (QQ: over the lcm of the reduced denominators, which leaves
+    no common factor; F_p: residues over den 1). The constructor lifts the
+    entries it is given, so one that is not an element of the field is refused
+    here, before any use. Readers box only the entries they return. Equality
+    and hashing compare values in the field, through the raw block.
     """
 
-    __slots__ = ("field", "rows", "cols", "_data", "_raw", "_pick")
+    __slots__ = ("field", "rows", "cols", "_raw", "_pick")
 
     def __init__(self, field, rows, cols, data):
-        data = tuple(data)
+        data = list(data)
         if len(data) != rows * cols:
             raise ValueError("need %d entries, got %d" % (rows * cols, len(data)))
         self.field = field
         self.rows = rows
         self.cols = cols
-        self._data = data
-        self._raw = self._pick = None
+        self._raw = field._lift(data)
+        self._pick = None
 
     @classmethod
     def _of_raw(cls, field, rows, cols, ints, den):
         """Matrix of the raw block: entry k is ints[k] / den. ints is a list
         the matrix may keep, so the caller must not change it afterwards."""
         m = object.__new__(cls)
-        m.field, m.rows, m.cols = field, rows, cols
-        m._data = m._pick = None
+        m.field, m.rows, m.cols, m._pick = field, rows, cols, None
         m._raw = field._norm(ints, den)
         return m
 
@@ -365,7 +370,7 @@ class Matrix:
             if j is not None:
                 ints[i * cols + j] = 1
         m = object.__new__(cls)
-        m.field, m.rows, m.cols, m._data = field, len(pick), cols, None
+        m.field, m.rows, m.cols = field, len(pick), cols
         m._raw, m._pick = (ints, 1), pick  # 0/1 over 1 is canonical in every field
         return m
 
@@ -401,26 +406,18 @@ class Matrix:
         return cls._from_raw_rows(field, raw_rows, cols)
 
     def _block(self):
-        """The raw block (ints, den) in canonical form, so that equal values
-        give equal blocks: a kernel's block is normed when made, and _lift
-        already gives canonical form (QQ: over the lcm of the reduced
-        denominators, which leaves no common factor; F_p: residues). A lift is
-        kept, so it happens once; one that fails keeps nothing."""
-        if self._raw is None:
-            self._raw = self.field._lift(self._data)
+        """The canonical raw block (ints, den), for the raw-row interface."""
         return self._raw
 
     def _raw_rows(self):
         """Fresh raw rows (ints, den), all over the block's denominator."""
-        ints, den = self._block()
+        ints, den = self._raw
         c = self.cols
         return [(ints[i * c : i * c + c], den) for i in range(self.rows)]
 
     @property
     def data(self):
-        if self._data is None:
-            self._data = tuple(self.field._drop(*self._raw))
-        return self._data
+        return tuple(self.field._drop(*self._raw))
 
     @classmethod
     def from_rows(cls, field, rows_of_entries, cols=None):
@@ -437,11 +434,8 @@ class Matrix:
             flat.extend(r)
         return cls(field, rows, cols, flat)
 
-    @classmethod
-    def from_int_rows(cls, field, rows_of_ints, cols=None):
-        return cls.from_rows(
-            field, [[field.of(x) for x in row] for row in rows_of_ints], cols=cols
-        )
+    # the lift reads a bare int as the field element it names
+    from_int_rows = from_rows
 
     @classmethod
     def identity(cls, field, n):
@@ -452,16 +446,20 @@ class Matrix:
         return cls._selection(field, cols, [None] * rows)
 
     def get(self, i, j):
-        return self.data[i * self.cols + j]
+        ints, den = self._raw
+        return self.field._drop([ints[i * self.cols + j]], den)[0]
 
     def row(self, i):
-        return self.data[i * self.cols : (i + 1) * self.cols]
+        ints, den = self._raw
+        return tuple(self.field._drop(ints[i * self.cols : (i + 1) * self.cols], den))
 
     def col(self, j):
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        ints, den = self._raw
+        return tuple(self.field._drop([ints[i * self.cols + j] for i in range(self.rows)], den))
 
     def to_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        flat, c = self.field._drop(*self._raw), self.cols
+        return [flat[i * c : i * c + c] for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -470,24 +468,32 @@ class Matrix:
             self.rows == other.rows
             and self.cols == other.cols
             and self.field == other.field
-            and self._block() == other._block()
+            and self._raw == other._raw
         )
 
     def __hash__(self):
-        ints, den = self._block()
+        ints, den = self._raw
         return hash((self.rows, self.cols, tuple(ints), den))
 
     def __mul__(self, other):
         return mat_mul(self, other)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.field.fmt(x) for x in self.row(i)) for i in range(self.rows)
-        )
-        return "Matrix(%dx%d: %s)" % (self.rows, self.cols, body)
+        return "Matrix(%dx%d: %s)" % (self.rows, self.cols, "; ".join(self._fmt_rows()))
+
+    def _fmt_rows(self):
+        """Each row as field.fmt of its entries joined by single spaces, made
+        from the raw block without boxing an entry: each entry in lowest terms
+        as str(Fraction) writes it, which over F_p (den 1) is its residue."""
+        (ints, den), c = self._raw, self.cols
+        text = []
+        for x in ints:
+            g = gcd(x, den)
+            text.append(str(x // g) if g == den else "%d/%d" % (x // g, den // g))
+        return [" ".join(text[i * c : i * c + c]) for i in range(self.rows)]
 
     def is_zero(self):
-        return not any(self._block()[0])
+        return not any(self._raw[0])
 
     def rank(self):
         """The rank. Over QQ, full rank modulo the fixed prime _CERT_P is
@@ -497,7 +503,7 @@ class Matrix:
         rank mod p is the rank, exactly, with no randomness. A QQ matrix that
         p leaves short of full rank, and every F_p matrix, goes through the
         exact elimination."""
-        if self.field == QQ and _full_rank_mod(self._block()[0], self.rows, self.cols):
+        if self.field == QQ and _full_rank_mod(self._raw[0], self.rows, self.cols):
             return min(self.rows, self.cols)
         return len(self._pivots())
 
@@ -509,7 +515,7 @@ class Matrix:
         """Submatrix of the given rows and columns (all when None), in the
         order given, picked from the raw block without boxing an entry. A
         None in rows or cols picks a zero row or column."""
-        ints, den = self._block()
+        ints, den = self._raw
         c = self.cols
         rows = range(self.rows) if rows is None else rows
         width = c if cols is None else len(cols)
@@ -529,21 +535,20 @@ class Matrix:
     def _join_cols(cls, field, rows, blocks):
         """The matrix [b_1 | b_2 | ...] of blocks of rows rows each, joined
         from their raw blocks without boxing an entry."""
-        raws = [b._block() for b in blocks]
-        den = lcm(*[d for _, d in raws])
-        parts = [(ints if d == den else [x * (den // d) for x in ints], b.cols)
-                 for (ints, d), b in zip(raws, blocks)]
-        joined = []
-        for i in range(rows):
-            for ints, c in parts:
-                joined += ints[i * c : i * c + c]
-        return cls._of_raw(field, rows, sum(b.cols for b in blocks), joined, den)
+        return cls._from_raw_rows(field, _joined_rows(rows, blocks), sum(b.cols for b in blocks))
 
     def _nonzeros(self):
         """(i, j) of every nonzero entry, in row-major order, read from the
         raw block without boxing an entry."""
-        ints, c = self._block()[0], self.cols
+        ints, c = self._raw[0], self.cols
         return [divmod(k, c) for k in compress(range(len(ints)), ints)]
+
+    def _masked(self, keep):
+        """The matrix with entry (i, j) set to zero wherever keep[i][j] is
+        false, masked on the raw block without boxing an entry."""
+        ints, den = self._raw
+        kept = [x if k else 0 for x, k in zip(ints, chain.from_iterable(keep))]
+        return Matrix._of_raw(self.field, self.rows, self.cols, kept, den)
 
 
 def _full_rank_mod(ints, rows, cols):
@@ -619,17 +624,19 @@ def _eliminate(work, ncols, field):
     return pivots
 
 
-def _augmented(a, b):
-    """Raw rows of the block matrix [a | b], over one common denominator."""
-    fa, da = a._block()
-    fb, db = b._block()
-    den = lcm(da, db)
-    if den != da:
-        fa = [x * (den // da) for x in fa]
-    if den != db:
-        fb = [x * (den // db) for x in fb]
-    p, q = a.cols, b.cols
-    return [(fa[i * p : i * p + p] + fb[i * q : i * q + q], den) for i in range(a.rows)]
+def _joined_rows(rows, blocks):
+    """Raw rows of the block matrix [b_1 | b_2 | ...], over one denominator."""
+    raws = [b._raw for b in blocks]
+    den = lcm(*[d for _, d in raws])
+    parts = [(ints if d == den else [x * (den // d) for x in ints], b.cols)
+             for (ints, d), b in zip(raws, blocks)]
+    out = []
+    for i in range(rows):
+        row = []
+        for ints, c in parts:
+            row += ints[i * c : i * c + c]
+        out.append((row, den))
+    return out
 
 
 def mat_mul(a, b):
@@ -651,8 +658,8 @@ def mat_mul(a, b):
         return a._select(cols=col_of)
     # each operand is one raw block over a common denominator, so the product
     # is one too: integer dot products over the product of the denominators
-    fa, da = a._block()
-    fb, db = b._block()
+    fa, da = a._raw
+    fb, db = b._raw
     k = a.cols
     arows = [fa[i * k : i * k + k] for i in range(a.rows)]
     bcols = [fb[j :: b.cols] for j in range(b.cols)]
@@ -664,7 +671,7 @@ def mat_inverse(a):
     if a.rows != a.cols:
         raise ValueError("not square")
     n = a.rows
-    work = _augmented(a, Matrix.identity(a.field, n))
+    work = _joined_rows(n, [a, Matrix.identity(a.field, n)])
     if len(_eliminate(work, n, a.field)) < n:
         raise ValueError("singular matrix")
     return Matrix._from_raw_rows(a.field, [(m[n:], d) for m, d in work], n)
@@ -679,7 +686,7 @@ def mat_solve(a, b):
         raise ValueError("row count mismatch")
     if a.field != b.field:
         raise ValueError("field mismatch")
-    work = _augmented(a, b)
+    work = _joined_rows(a.rows, [a, b])
     n = a.cols
     if len(_eliminate(work, n, a.field)) < n:
         raise ValueError("matrix does not have full column rank")
@@ -695,21 +702,12 @@ def is_barcode_form(a):
     (False, None). Accepted matrices have some top block of rows that are unit
     vectors with strictly increasing pivot columns, and all remaining rows zero.
     """
-    zero, one = a.field.zero(), a.field.one()
-    pivots = []
-    seen_zero_row = False
-    for i in range(a.rows):
-        row = a.row(i)
-        nz = [j for j, x in enumerate(row) if x != zero]
-        if not nz:
-            seen_zero_row = True
-            continue
-        if seen_zero_row:
-            return False, None
-        if len(nz) > 1 or row[nz[0]] != one:
-            return False, None
-        j = nz[0]
-        if pivots and j <= pivots[-1]:
-            return False, None
-        pivots.append(j)
-    return True, tuple(p + 1 for p in pivots)
+    ints, den = a._raw
+    nz = a._nonzeros()
+    # row i < len(nz) holds one nonzero, in column nz[i][1]; it must be a 1
+    cols = [j for _, j in nz]
+    if [i for i, _ in nz] != list(range(len(nz))) or any(
+        ints[i * a.cols + j] != den for i, j in nz
+    ) or any(j >= k for j, k in zip(cols, cols[1:])):
+        return False, None
+    return True, tuple(j + 1 for j in cols)

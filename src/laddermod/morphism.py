@@ -169,8 +169,7 @@ class MorphismMatrix:
 
     def __str__(self):
         return "\n".join(
-            "%s | %s" % (rg.bar, " ".join(map(self.field.fmt, row)))
-            for rg, row in zip(self.row_gens, self.entries.to_lists())
+            "%s | %s" % (rg.bar, row) for rg, row in zip(self.row_gens, self.entries._fmt_rows())
         )
 
 
@@ -301,12 +300,7 @@ def compose_single(outer, inner):
     if [(g.bar, g.slot) for g in outer.col_gens] != [(g.bar, g.slot) for g in inner.row_gens]:
         raise ValueError("inner codomain generators do not match outer domain")
     prod = mat_mul(outer.entries, inner.entries)
-    zero = prod.field.zero()
-    rows = [
-        [x if allowed else zero for x, allowed in zip(row, mask)]
-        for row, mask in zip(prod.to_lists(), _support(outer.row_gens, inner.col_gens))
-    ]
-    entries = Matrix.from_rows(prod.field, rows, cols=prod.cols)
+    entries = prod._masked(_support(outer.row_gens, inner.col_gens))
     return MorphismMatrix(outer.row_gens, inner.col_gens, entries)
 
 

@@ -401,13 +401,15 @@ def test_integer_lines_follow_the_ascii_grammar(data_dir, tmp_path, capsys, monk
     assert print_module(m) == "module\nfield prime 7\ndims 3\n"
 
 
-def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys):
+def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys, monkeypatch):
     # a blank is an ASCII space or tab; a keyword ends at a blank, and any
     # other text refused here would print back as other bytes
     refused = [
         ("V.txt", 3, "dims3", "expected 'dims ...', got 'dims3'"),
         ("V.txt", 3, "dims 1\u00a02 2 2 3 1 1 1", "bad integer list in 'dims 1\u00a02 2 2 3 1 1 1'"),
         ("run.txt", 2, "delta 1\u2003", "bad integer list in 'delta 1\u2003'"),
+        ("V.txt", 2, "field prime\u00a07", "unknown field spec 'prime\\xa07'"),
+        ("V.txt", 2, "field prime\u20037", "unknown field spec 'prime\\u20037'"),
         # map 1 of V.txt has one column, so the row is one token of the entry grammar
         ("V.txt", 5, "1\u20032", "map 1: Invalid literal for Fraction: '1\\u20032'"),
     ]
@@ -415,8 +417,19 @@ def test_blanks_are_ascii_spaces_and_tabs(data_dir, tmp_path, capsys):
         assert main(["decompose" if name == "run.txt" else "barcode",
                      _with_line(data_dir, tmp_path, name, lineno, text)]) == 1
         assert capsys.readouterr().err == "error: line %d: %s\n" % (lineno, message), text
-    # tabs are blanks, on the dims line and in matrix rows, and a run of
-    # blanks is one separator
+    # the LADDERMOD_FIELD spec follows the rule of the field line
+    nofield = tmp_path / "nofield.txt"
+    with open(data(data_dir, "V.txt")) as f:
+        nofield.write_text(f.read().replace("field rational\n", ""))
+    monkeypatch.setenv("LADDERMOD_FIELD", "prime\u00a05")
+    assert main(["barcode", str(nofield)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: LADDERMOD_FIELD: unknown field spec 'prime\\xa05'\n")
+    # tabs are blanks, on the field and dims lines and in matrix rows, and a
+    # run of blanks is one separator
+    assert parse_module_text("module\nfield prime\t 7 \ndims 1\n").field.p == 7
+    monkeypatch.setenv("LADDERMOD_FIELD", "\tprime\t7")
+    assert run_cli("barcode", str(nofield)) == (0, "[0,4] [1,7] [4,4]\n")
     tabbed = _with_line(data_dir, tmp_path, "V.txt", 3, "dims\t1 2\t2 2 3 1 1 1")
     with open(tabbed) as f:
         text = f.read().replace("\n1 0\n0 1\n", "\n1\t0\n 0  1 \n")

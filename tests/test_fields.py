@@ -101,6 +101,11 @@ def test_prime_field_rejects_composite_modulus():
 def test_field_by_name_unknown():
     with pytest.raises(ValueError):
         field_by_name("octonion")
+    # words are split on ASCII spaces and tabs only, as the tokens of a file line
+    for spec in ("prime\u00a07", "prime\u20037", "\u00a0rational"):
+        with pytest.raises(ValueError, match="unknown field spec"):
+            field_by_name(spec)
+    assert field_by_name(" prime\t 7\t") == field_by_name("prime 7")
 
 
 def test_fp_values_are_normalized_and_hashable():
@@ -655,89 +660,116 @@ def test_only_selections_carry_a_pick(field):
     assert e._select([None, 1], [1, None]) == Matrix.from_int_rows(field, [[0, 0], [1, 0]])
 
 
+def _constructions(field, entries):
+    """Each way to build a 2x2 matrix from four entries."""
+    rows = [entries[:2], entries[2:]]
+    return (lambda: Matrix(field, 2, 2, entries), lambda: Matrix(field, 2, 2, iter(entries)),
+            lambda: Matrix.from_rows(field, rows), lambda: Matrix.from_int_rows(field, rows))
+
+
 def test_a_bad_entry_reads_alike_on_the_pick_path():
+    # a bad entry is refused where it enters, wherever it sits in the matrix,
+    # so no product, by a selection or by a dense matrix, ever sees it
     F7 = field_by_name("prime 7")
     for field, bad in ((QQ, 0.5), (QQ, "1"), (QQ, Fp(1, 5)), (F5, Fraction(1, 2)), (F5, 0.5),
                        (F7, Fp(2, 5))):
         one = field.one()
-        a = Matrix(field, 2, 2, [one, bad, one, one])
-        dense = Matrix.from_rows(field, [[one, one], [one, one]])
-        swap = Matrix._selection(field, 2, [1, 0])
-        messages = []
-        for x, y in ((a, dense), (a, swap), (dense, a), (swap, a)):
-            with pytest.raises(ValueError) as err:
-                mat_mul(x, y)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == messages[2] == messages[3]
-        assert messages[0] in ("%r is not an element of %s" % (bad, field.name),
-                               "mixed characteristics 7 and 5")
+        messages = set()
+        for k in range(4):
+            entries = [one] * 4
+            entries[k] = bad
+            for build in _constructions(field, entries):
+                with pytest.raises(ValueError) as err:
+                    build()
+                messages.add(str(err.value))
+        assert len(messages) == 1
+        assert messages.pop() in ("%r is not an element of %s" % (bad, field.name),
+                                  "mixed characteristics 7 and 5")
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.name)
 def test_each_input_matrix_is_lifted_once(field, monkeypatch):
     entries = [field.of(1, 2), 3, field.of(5), field.of(-2), 0, field.of(7, 3)]
-    m = Matrix(field, 2, 3, entries)
     twin = mat_mul(Matrix.identity(field, 2), Matrix.from_rows(field, [entries[:3], entries[3:]]))
     dense = mat_mul(Matrix.from_int_rows(field, [[1, 2], [0, 1], [3, 1]]),
                     Matrix.from_int_rows(field, [[1, 1], [2, 1]]))
     calls = []
     lift = field._lift
     monkeypatch.setattr(field, "_lift", lambda xs: calls.append(xs) or lift(xs))
-    # a dense product, a row pick, a rank, a compare and a hash
+    m = Matrix(field, 2, 3, entries)
+    assert len(calls) == 1
+    # a dense product, a row pick, a rank, a compare and a hash lift nothing
     mat_mul(m, dense)
     mat_mul(Matrix._selection(field, 2, [1, None]), m)
     m.rank()
     assert m == twin and hash(m) == hash(twin)
     assert len(calls) == 1
-    # the reads are still the caller's own objects, bare ints included
-    assert all(x is y for x, y in zip(m.data, entries))
-    assert type(m.get(0, 1)) is int
+    # the reads are field elements of the same values, bare ints included
+    kind = type(field.zero())
+    assert m.data == tuple(entries) and all(type(x) is kind for x in m.data)
+    assert type(m.get(0, 1)) is kind and m.get(0, 1) == 3
     assert m.data == twin.data
 
 
 def test_a_bad_entry_fails_alike_at_every_use():
+    # there is no use to fail at: each constructor refuses the entry, alike
     for field, bad in ((QQ, 0.5), (F5, Fp(1, 7))):
-        m = Matrix(field, 1, 2, [field.one(), bad])
-        uses = (m.rank, lambda: mat_mul(m, Matrix.identity(field, 2)), m.is_zero,
-                lambda: hash(m), lambda: m == Matrix.zero(field, 1, 2), m.rank)
         messages = set()
-        for use in uses:
+        for build in _constructions(field, [field.one(), bad, field.one(), field.one()]):
             with pytest.raises(ValueError) as err:
-                use()
+                build()
             messages.add(str(err.value))
         assert len(messages) == 1
-        # the entries it was given stay readable
-        assert m.data == (field.one(), bad)
+
+
+class _OtherInteger:
+    """A number type with an integer ratio that is not int, as numpy's
+    fixed-width integers are, whose products wrap around."""
+
+    numerator, denominator = 3, 1
+
+    def __repr__(self):
+        return "OtherInteger(3)"
 
 
 def test_entries_outside_the_field_are_refused():
-    for field, bad in ((QQ, 0.5), (QQ, "1"), (QQ, Fp(1, 5)), (F5, Fraction(1, 2)), (F5, 0.5)):
-        a = Matrix(field, 1, 2, [field.one(), bad])
-        b = Matrix(field, 2, 1, [field.one(), field.one()])
+    # refused at construction, by every constructor, with the field's message;
+    # a float, a string, another integer type and an element of the other field
+    for field, bad in ((QQ, 0.5), (QQ, 1.5), (QQ, "1"), (QQ, _OtherInteger()), (QQ, Fp(1, 5)),
+                       (F5, Fraction(1, 2)), (F5, 0.5)):
         message = "%r is not an element of %s" % (bad, field.name)
-        for use in (lambda: mat_mul(a, b), lambda: mat_mul(b, a), a.rank,
-                    lambda: a == Matrix.zero(field, 1, 2)):
+        for build in _constructions(field, [field.one(), bad, field.one(), field.one()]):
             with pytest.raises(ValueError) as err:
-                use()
+                build()
             assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            Matrix.from_rows(field, [[bad]])
+        assert str(err.value) == message
 
 
 def test_entries_of_another_characteristic_are_refused():
     F7 = field_by_name("prime 7")
-    a = Matrix(F5, 2, 2, [Fp(2, 5), Fp(1, 7), Fp(1, 5), Fp(1, 5)])
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        mat_mul(a, Matrix.identity(F5, 2))
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        mat_mul(Matrix.identity(F5, 2), a)
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        a.rank()
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        a._pivots()
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        mat_inverse(a)
-    with pytest.raises(ValueError, match="mixed characteristics"):
-        a == Matrix.identity(F5, 2)
+    entries = [Fp(2, 5), Fp(1, 7), Fp(1, 5), Fp(1, 5)]
+    for build in _constructions(F5, entries):
+        with pytest.raises(ValueError, match="^mixed characteristics 5 and 7$"):
+            build()
+    with pytest.raises(ValueError, match="^mixed characteristics 5 and 7$"):
+        Matrix.from_rows(F5, [[Fp(1, 7)]])
     assert Matrix.identity(F7, 2).rank() == 2
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=lambda f: f.name)
+def test_reads_box_only_the_entries_they_return(field, monkeypatch):
+    rng = random.Random("reads/" + field.name)
+    n = 64
+    m = Matrix.from_rows(field, [[_random_entry(rng, field) for _ in range(n)] for _ in range(n)])
+    want = m.to_lists()
+    boxed = []
+    drop = field._drop
+    monkeypatch.setattr(field, "_drop", lambda ints, den: boxed.append(len(ints)) or drop(ints, den))
+    assert m.get(5, 7) == want[5][7] and boxed == [1]
+    assert m.row(3) == tuple(want[3]) and boxed == [1, n]
+    assert m.col(9) == tuple(r[9] for r in want) and boxed == [1, n, n]
 
 
 def test_bare_int_entries_count_as_field_elements():
@@ -805,6 +837,7 @@ def test_entries_and_kernel_results_are_one_matrix(field):
             assert [k.get(i, j) for i in range(rows) for j in range(cols)] == list(a.data)
             assert {type(k.get(i, j)) for i in range(rows) for j in range(cols)} <= {kind}
             assert repr(k) == repr(a)
+            assert k._fmt_rows() == [" ".join(map(field.fmt, r)) for r in a.to_lists()]
             assert k.data == a.data and k.to_lists() == a.to_lists()
             assert all(type(x) is kind for x in k.data)
             assert [k.col(j) for j in range(cols)] == [a.col(j) for j in range(cols)]

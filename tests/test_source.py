@@ -179,3 +179,28 @@ def test_raw_rows_stay_behind_fields():
             found += ["%s:%d %s" % (os.path.basename(path), node.lineno, n)
                       for n in names if n in interface]
     assert found == []
+
+
+def test_entries_are_lifted_only_where_they_enter():
+    # a Matrix holds one raw block, lifted and checked once where its entries
+    # enter: at construction, when parsed, and as the scalars of recorded ops
+    assert set(laddermod.Matrix.__slots__) == {"field", "rows", "cols", "_raw", "_pick"}
+    allowed = {("fields.py", "__init__"), ("fields.py", "_parse"),
+               ("ladder.py", "apply_ops"), ("ladder.py", "_fold_ops")}
+
+    def lifts(node, func=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from lifts(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "_lift"):
+                yield func
+            yield from lifts(child, func)
+
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC_DIR, "*.py"))):
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        found |= {(os.path.basename(path), func) for func in lifts(tree)}
+    assert found == allowed
